@@ -4,18 +4,16 @@
 // regressions that would make the reproduction benches impractically
 // slow.
 //
-// This binary also installs counting global `operator new`/`delete`
-// hooks. The *Steady variants report `allocs_per_item`, which must stay
-// at 0.000: the engine's contract is zero heap allocations per event in
-// steady state (pooled nodes, recycled coroutine frames, cached queue
-// buffers). `scripts/check_perf.sh` fails the build if it drifts.
+// This binary also links the counting global `operator new`/`delete`
+// hooks (tests/support/alloc_counter.hpp). The *Steady variants report
+// `allocs_per_item`, which must stay at 0.000: the engine's contract is
+// zero heap allocations per event in steady state (pooled nodes, recycled
+// coroutine frames, cached queue buffers). `scripts/check_perf.sh` fails
+// the build if it drifts.
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.hpp"
 #include "benchlib/am_lat.hpp"
 #include "benchlib/osu_coll.hpp"
 #include "benchlib/put_bw.hpp"
@@ -24,21 +22,6 @@
 #include "scenario/testbed.hpp"
 #include "sim/channel.hpp"
 #include "sim/simulator.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -114,14 +97,14 @@ void BM_EventDispatchSteady(benchmark::State& state) {
     sim.run();
   };
   wave();  // warm: grow node pool, run queue, ready ring once
-  const std::uint64_t before = g_heap_allocs.load();
+  const std::uint64_t before = support::heap_allocs();
   for (auto _ : state) {
     wave();
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(state.iterations() * n);
   state.counters["allocs_per_item"] =
-      static_cast<double>(g_heap_allocs.load() - before) /
+      static_cast<double>(support::heap_allocs() - before) /
       static_cast<double>(state.iterations() * n);
 }
 BENCHMARK(BM_EventDispatchSteady)->Arg(1000);
@@ -153,10 +136,10 @@ void BM_ChannelPingPongSteady(benchmark::State& state) {
     state.PauseTiming();  // spawn bookkeeping is not the hot path
     sim.spawn(pinger(a, b, n));
     sim.spawn(ponger(b, a, n));
-    const std::uint64_t before = g_heap_allocs.load();
+    const std::uint64_t before = support::heap_allocs();
     state.ResumeTiming();
     sim.run();
-    measured_allocs += g_heap_allocs.load() - before;
+    measured_allocs += support::heap_allocs() - before;
   }
   state.SetItemsProcessed(state.iterations() * n * 2);
   state.counters["allocs_per_item"] =

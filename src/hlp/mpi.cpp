@@ -9,9 +9,9 @@ MpiComm::MpiComm(UcpWorker& ucp) : ucp_(ucp) {
     cpu::Core& c = core();
     prof::Profiler* prof = ucp_.profiler();
     prof::Profiler::Region r;
-    if (prof && wrap_ == "MPICH callback") r = prof->begin("MPICH callback");
+    if (prof) r = prof->begin(prof::Point::kMpichCallback);
     c.consume(c.costs().mpich_rx_callback);
-    if (prof && wrap_ == "MPICH callback") prof->end(r);
+    if (prof) prof->end(r);
   });
 }
 
@@ -19,18 +19,16 @@ sim::Task<common::Expected<Request*>> MpiComm::isend(std::uint32_t bytes) {
   cpu::Core& c = core();
   prof::Profiler* prof = ucp_.profiler();
   prof::Profiler::Region r_mpi, r_ucp;
-  if (prof && wrap_ == "MPI_Isend") r_mpi = prof->begin("MPI_Isend");
+  if (prof) r_mpi = prof->begin(prof::Point::kMpiIsend);
 
   // MPICH: datatype checks, interface selection, request setup.
   c.consume(c.costs().mpich_isend);
 
-  if (prof && wrap_ == "ucp_tag_send_nb") {
-    r_ucp = prof->begin("ucp_tag_send_nb");
-  }
+  if (prof) r_ucp = prof->begin(prof::Point::kUcpTagSendNb);
   common::Expected<Request*> req = co_await ucp_.tag_send_nb(bytes);
-  if (prof && wrap_ == "ucp_tag_send_nb") prof->end(r_ucp);
+  if (prof) prof->end(r_ucp);
 
-  if (prof && wrap_ == "MPI_Isend") prof->end(r_mpi);
+  if (prof) prof->end(r_mpi);
   ++isends_;
   co_return req;
 }
@@ -48,7 +46,7 @@ sim::Task<common::Status> MpiComm::wait(Request* req) {
   cpu::Core& c = core();
   prof::Profiler* prof = ucp_.profiler();
   prof::Profiler::Region r_wait;
-  if (prof && wrap_ == "MPI_Wait") r_wait = prof->begin("MPI_Wait");
+  if (prof) r_wait = prof->begin(prof::Point::kMpiWait);
 
   // Fixed blocking-wait work: entry, request inspection, loop control.
   c.consume(c.costs().mpich_wait_fixed);
@@ -60,13 +58,11 @@ sim::Task<common::Status> MpiComm::wait(Request* req) {
 
   // MPICH work after the successful ucp_worker_progress returns.
   prof::Profiler::Region r_after;
-  if (prof && wrap_ == "MPICH after progress") {
-    r_after = prof->begin("MPICH after progress");
-  }
+  if (prof) r_after = prof->begin(prof::Point::kMpichAfterProgress);
   c.consume(c.costs().mpich_after_progress);
-  if (prof && wrap_ == "MPICH after progress") prof->end(r_after);
+  if (prof) prof->end(r_after);
 
-  if (prof && wrap_ == "MPI_Wait") prof->end(r_wait);
+  if (prof) prof->end(r_wait);
   ++waits_;
   co_await c.flush();
   co_return req->status;

@@ -11,7 +11,6 @@
 // MPI_Wait; and the per-operation send-progress bookkeeping inside
 // MPI_Waitall (Post_prog, §6).
 
-#include <string>
 #include <vector>
 
 #include "hlp/request.hpp"
@@ -37,16 +36,11 @@ class MpiComm {
   /// non-OK request status in window order.
   sim::Task<common::Status> waitall(const std::vector<Request*>& reqs);
 
-  /// Profiler wrap point (one region at a time, §3): one of
-  /// {"MPI_Isend", "ucp_tag_send_nb", "MPI_Wait", "MPICH after progress"}.
-  void set_wrap(std::string region) { wrap_ = std::move(region); }
-
   std::uint64_t isends() const { return isends_; }
   std::uint64_t waits() const { return waits_; }
 
  private:
   UcpWorker& ucp_;
-  std::string wrap_;
   std::uint64_t isends_ = 0;
   std::uint64_t waits_ = 0;
 };

@@ -69,12 +69,12 @@ void UcpWorker::complete_recv(Request* req, common::Status st) {
 
   // UCP's registered callback: match, update request state.
   prof::Profiler::Region r1;
-  if (prof && wrap_ == "UCP callback") r1 = prof->begin("UCP callback");
+  if (prof) r1 = prof->begin(prof::Point::kUcpCallback);
   c.consume(c.costs().ucp_rx_callback);
   req->complete = true;
   req->status = st;
   ++recvs_completed_;
-  if (prof && wrap_ == "UCP callback") prof->end(r1);
+  if (prof) prof->end(r1);
 
   // The upper (MPICH) registered callback runs inside UCP's (§5).
   if (upper_rx_cb_) upper_rx_cb_(req);
@@ -194,9 +194,7 @@ sim::Task<std::uint32_t> UcpWorker::progress() {
   cpu::Core& c = core();
   prof::Profiler* prof = uct_worker_.profiler();
   prof::Profiler::Region r;
-  if (prof && wrap_ == "ucp_worker_progress") {
-    r = prof->begin("ucp_worker_progress");
-  }
+  if (prof) r = prof->begin(prof::Point::kUcpWorkerProgress);
 
   c.consume(c.costs().ucp_progress_iter);
 
@@ -214,7 +212,7 @@ sim::Task<std::uint32_t> UcpWorker::progress() {
     co_await progress_rndv();
   }
 
-  if (prof && wrap_ == "ucp_worker_progress") prof->end(r);
+  if (prof) prof->end(r);
   co_return n;
 }
 

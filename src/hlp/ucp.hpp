@@ -18,7 +18,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <string>
 
 #include "common/status.hpp"
 #include "cpu/core.hpp"
@@ -101,11 +100,6 @@ class UcpWorker {
   std::uint64_t recvs_completed() const { return recvs_completed_; }
   std::uint64_t rndv_sends() const { return rndv_sends_; }
 
-  /// Profiler wrap points (one at a time, per §3): region names among
-  /// {"ucp_worker_progress", "UCP callback", "MPICH callback"}.
-  void set_wrap(std::string region) { wrap_ = std::move(region); }
-  const std::string& wrap() const { return wrap_; }
-
  private:
   // Control headers ride in the messages' immediate data. Layout:
   // ctrl(2)@62 | src+1(6)@56 | seq(24)@32 | bytes(32)@0. The source
@@ -139,7 +133,6 @@ class UcpWorker {
   llp::Endpoint& endpoint_;
   UcpConfig cfg_;
   std::function<void(Request*)> upper_rx_cb_;
-  std::string wrap_;
 
   std::deque<std::unique_ptr<Request>> requests_;  // stable ownership
   std::deque<Request*> pending_sends_;

@@ -78,29 +78,28 @@ sim::Task<Status> Endpoint::post(pcie::WireOp op, std::uint32_t bytes,
     // Busy post: early-exit before any descriptor work (§4.2).
     ++busy_posts_;
     prof::Profiler::Region rb;
-    if (prof && cfg_.profile_level >= 1) rb = prof->begin("Busy post");
+    if (prof) rb = prof->begin(prof::Point::kBusyPost);
     core.consume(costs.busy_post);
     if (prof) prof->end(rb);
     co_return Status::kNoResource;
   }
 
-  const bool substeps = prof && cfg_.profile_level >= 2;
   prof::Profiler::Region r_total;
-  if (prof && cfg_.profile_level == 1) r_total = prof->begin("LLP_post");
+  if (prof) r_total = prof->begin(prof::Point::kLlpPost);
 
-  auto step = [&](const char* name, const cpu::CostSpec& spec) {
+  auto step = [&](prof::Point point, const cpu::CostSpec& spec) {
     prof::Profiler::Region r;
-    if (substeps) r = prof->begin(name);
+    if (prof) r = prof->begin(point);
     core.consume(spec);
-    if (substeps) prof->end(r);
+    if (prof) prof->end(r);
   };
 
   // (1) Prepare the MD; includes the inline-payload memcpy.
-  step("MD setup", costs.md_setup);
+  step(prof::Point::kMdSetup, costs.md_setup);
   // (2) Store barrier: MD fully written before signalling the NIC.
-  step("Barrier for MD", costs.barrier_store_md);
+  step(prof::Point::kBarrierMd, costs.barrier_store_md);
   // (3)+(4) DoorBell counter increment + its store barrier.
-  step("Barrier for DBC", costs.barrier_store_dbc);
+  step(prof::Point::kBarrierDbc, costs.barrier_store_dbc);
 
   pcie::WireMd md;
   md.msg_id = worker_.alloc_msg_id();
@@ -128,24 +127,24 @@ sim::Task<Status> Endpoint::post(pcie::WireOp op, std::uint32_t bytes,
         cfg_.md_overhead_bytes + (md.inline_payload ? bytes : 0);
     const std::uint32_t chunks = (body + 63) / 64;
     for (std::uint32_t i = 0; i < chunks; ++i) {
-      step("PIO copy", costs.pio_copy_64b);
+      step(prof::Point::kPioCopy, costs.pio_copy_64b);
     }
     mmio_bytes = chunks * 64;
   } else {
     // DoorBell path: the driver already wrote the MD into the host ring
     // (covered by MD setup); ring the 8-byte DoorBell.
     worker_.host().stage_descriptor(md);
-    step("DoorBell write", costs.doorbell_write_8b);
+    step(prof::Point::kDoorbellWrite, costs.doorbell_write_8b);
     mmio_bytes = 8;
   }
 
   // Function-call overhead, branches to decide the code path, etc.
-  step("Other", costs.llp_post_misc);
+  step(prof::Point::kPostOther, costs.llp_post_misc);
 
   ++outstanding_;
   ++posted_;
 
-  if (prof && cfg_.profile_level == 1) prof->end(r_total);
+  if (prof) prof->end(r_total);
 
   // Interaction point: materialize the accrued CPU time, then hand the
   // posted write to the Root Complex.

@@ -13,10 +13,7 @@ sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions) {
   const cpu::CpuCostModel& costs = core_.costs();
 
   prof::Profiler::Region r_pass;
-  if (profiler_ && wrap_ == "uct_worker_progress") {
-    r_pass = profiler_->begin("uct_worker_progress");
-  }
-  const bool wrap_prog = profiler_ && wrap_ == "LLP_prog";
+  if (profiler_) r_pass = profiler_->begin(prof::Point::kUctWorkerProgress);
 
   std::uint32_t n = 0;
   bool found = true;
@@ -27,9 +24,9 @@ sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions) {
     // RX CQ first: inbound completions unblock the latency-critical path.
     if (auto cqe = host_.rx_cq().poll(now)) {
       prof::Profiler::Region r;
-      if (wrap_prog) r = profiler_->begin("LLP_prog");
+      if (profiler_) r = profiler_->begin(prof::Point::kLlpProg);
       core_.consume(costs.llp_prog);
-      if (wrap_prog) profiler_->end(r);
+      if (profiler_) profiler_->end(r);
       ++rx_completions_;
       if (cqe->status != common::Status::kOk) ++error_completions_;
       if (cqe->status == common::Status::kFlushed) ++flushed_completions_;
@@ -42,9 +39,9 @@ sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions) {
     for (Endpoint* ep : endpoints_) {
       if (auto cqe = host_.tx_cq(ep->config().qp).poll(now)) {
         prof::Profiler::Region r;
-        if (wrap_prog) r = profiler_->begin("LLP_prog");
+        if (profiler_) r = profiler_->begin(prof::Point::kLlpProg);
         core_.consume(costs.llp_prog);
-        if (wrap_prog) profiler_->end(r);
+        if (profiler_) profiler_->end(r);
         ++tx_cqes_polled_;
         tx_ops_retired_ += cqe->completes;
         if (cqe->status != common::Status::kOk) ++error_completions_;
@@ -62,7 +59,7 @@ sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions) {
     core_.consume(costs.llp_empty_progress);
   }
 
-  if (profiler_ && wrap_ == "uct_worker_progress") profiler_->end(r_pass);
+  if (profiler_) profiler_->end(r_pass);
 
   // Materialize the consumed time so subsequent polls observe later CQEs.
   co_await core_.flush();

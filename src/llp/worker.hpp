@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "cpu/core.hpp"
@@ -40,10 +39,6 @@ class Worker {
   /// Optional profiler wrapped around LLP-internal operations.
   void set_profiler(prof::Profiler* p) { profiler_ = p; }
   prof::Profiler* profiler() { return profiler_; }
-
-  /// Profiler wrap point (one at a time, §3): "uct_worker_progress"
-  /// (whole pass) or "LLP_prog" (each CQE dequeue).
-  void set_wrap(std::string region) { wrap_ = std::move(region); }
 
   /// Callback invoked for every receive completion (HLP registers its
   /// tag-matching here; §5's "registered callback" chain).
@@ -81,7 +76,6 @@ class Worker {
   nic::HostMemory& host_;
   WorkerConfig cfg_;
   prof::Profiler* profiler_ = nullptr;
-  std::string wrap_;
   std::vector<Endpoint*> endpoints_;
   std::function<void(const nic::Cqe&)> rx_handler_;
   std::uint64_t tx_cqes_polled_ = 0;

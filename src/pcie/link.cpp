@@ -78,37 +78,37 @@ void Link::transmit_attempt(Direction dir, const Tlp& tlp, std::uint64_t seq,
       return;
     }
 
-    DirState& st = dir_state(dir);
+    DirState& rx = dir_state(dir);
     if (corrupt) {
       // LCRC failure: discard and request retransmission once per
       // recovery window (further Naks are suppressed until the window
       // closes; the sender's replay timer backstops a lost Nak).
-      if (!st.nak_outstanding) {
-        st.nak_outstanding = true;
+      if (!rx.nak_outstanding) {
+        rx.nak_outstanding = true;
         ++injector_->stats().naks_sent;
-        send_ack(dir, DllpType::kNak, st.expected_seq - 1);
+        send_ack(dir, DllpType::kNak, rx.expected_seq - 1);
       }
       return;
     }
-    if (seq < st.expected_seq) {
+    if (seq < rx.expected_seq) {
       // Duplicate of an already-accepted TLP (a replay raced the Ack):
       // discard and re-acknowledge so the sender can purge it.
       ++injector_->stats().duplicates_dropped;
-      send_ack(dir, DllpType::kAck, st.expected_seq - 1);
+      send_ack(dir, DllpType::kAck, rx.expected_seq - 1);
       return;
     }
-    if (seq > st.expected_seq) {
+    if (seq > rx.expected_seq) {
       // Sequence gap: a predecessor was lost.
-      if (!st.nak_outstanding) {
-        st.nak_outstanding = true;
+      if (!rx.nak_outstanding) {
+        rx.nak_outstanding = true;
         ++injector_->stats().naks_sent;
-        send_ack(dir, DllpType::kNak, st.expected_seq - 1);
+        send_ack(dir, DllpType::kNak, rx.expected_seq - 1);
       }
       return;
     }
     // In sequence: accept.
-    st.expected_seq = seq + 1;
-    st.nak_outstanding = false;
+    rx.expected_seq = seq + 1;
+    rx.nak_outstanding = false;
     deliver(dir, tlp, seq);
   });
 }

@@ -27,16 +27,16 @@ std::string ProfileData::report() const {
     for (const auto& [name, v] : counters) {
       c.add_row({name, std::to_string(v)});
     }
-    out += "\n" + c.render();
+    out += '\n';
+    out += c.render();
   }
   return out;
 }
 
-Profiler::Region Profiler::begin(std::string name) {
+Profiler::Region Profiler::open(Point p) {
   Region r;
-  if (!enabled_) return r;
   r.active = true;
-  r.name = std::move(name);
+  r.point = p;
   r.t0 = core_.virtual_now();
   // One overhead sample per region, half charged at each edge; the raw
   // span t1 - t0 then contains exactly one sampled overhead.
@@ -54,7 +54,7 @@ void Profiler::end(Region& r) {
   const TimePs raw = core_.virtual_now() - r.t0;
   // §3: "we report software measurements after removing this overhead."
   const double corrected = raw.to_ns() - overhead_mean_ns();
-  data_.regions[r.name].add_ns(corrected);
+  data_.regions[name(r.point)].add_ns(corrected);
 }
 
 void Profiler::record_ns(const std::string& name, double ns) {

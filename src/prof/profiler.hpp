@@ -13,7 +13,10 @@
 // the configured mean. The residual sampling noise is therefore part of
 // our measured component times, exactly as on real hardware.
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <map>
 #include <string>
 
@@ -23,6 +26,89 @@
 #include "cpu/core.hpp"
 
 namespace bb::prof {
+
+/// Every instrumented region in the stack. A Profiler measures only the
+/// points selected on it (§3: one component at a time), so choosing what
+/// to wrap is one typed decision in one place.
+enum class Point : std::uint8_t {
+  // llp::Endpoint::post (§4.1, Fig. 4): the whole post, or its substeps.
+  kLlpPost,
+  kMdSetup,
+  kBarrierMd,
+  kBarrierDbc,
+  kPioCopy,
+  kDoorbellWrite,
+  kPostOther,
+  kBusyPost,
+  // llp::Worker::progress: each CQE dequeue, or the whole pass.
+  kLlpProg,
+  kUctWorkerProgress,
+  // hlp::UcpWorker (§5).
+  kUcpWorkerProgress,
+  kUcpCallback,
+  // hlp::MpiComm (§5).
+  kUcpTagSendNb,
+  kMpiIsend,
+  kMpiWait,
+  kMpichCallback,
+  kMpichAfterProgress,
+  kCount
+};
+
+inline constexpr std::size_t kPointCount =
+    static_cast<std::size_t>(Point::kCount);
+
+/// The region name each point records under -- the keys of
+/// ProfileData::regions and of every report. Indexed by Point.
+inline constexpr const char* kPointNames[] = {
+    "LLP_post",
+    "MD setup",
+    "Barrier for MD",
+    "Barrier for DBC",
+    "PIO copy",
+    "DoorBell write",
+    "Other",
+    "Busy post",
+    "LLP_prog",
+    "uct_worker_progress",
+    "ucp_worker_progress",
+    "UCP callback",
+    "ucp_tag_send_nb",
+    "MPI_Isend",
+    "MPI_Wait",
+    "MPICH callback",
+    "MPICH after progress",
+};
+static_assert(std::size(kPointNames) == kPointCount,
+              "every Point needs a region name");
+
+constexpr const char* name(Point p) {
+  return kPointNames[static_cast<std::size_t>(p)];
+}
+
+/// A set of instrumentation points.
+class PointSet {
+ public:
+  constexpr PointSet() = default;
+  constexpr PointSet(std::initializer_list<Point> points) {
+    for (Point p : points) bits_ |= bit(p);
+  }
+  constexpr bool contains(Point p) const { return (bits_ & bit(p)) != 0; }
+
+ private:
+  static constexpr std::uint32_t bit(Point p) {
+    return std::uint32_t{1} << static_cast<unsigned>(p);
+  }
+  std::uint32_t bits_ = 0;
+};
+static_assert(kPointCount <= 32, "PointSet holds one bit per Point");
+
+/// The per-substep run of §4.1 (Fig. 4): every LLP_post substep, plus
+/// busy posts, which never reach the substeps.
+inline constexpr PointSet kPostSubsteps = {
+    Point::kMdSetup, Point::kBarrierMd,     Point::kBarrierDbc,
+    Point::kPioCopy, Point::kDoorbellWrite, Point::kPostOther,
+    Point::kBusyPost};
 
 /// A profiler's recorded state, detached from the live Core/Simulator
 /// that produced it. Counters are per-Profiler (and therefore
@@ -50,22 +136,31 @@ class Profiler {
  public:
   explicit Profiler(cpu::Core& core) : core_(core) {}
 
-  /// Globally enables/disables measurement. Disabled regions cost nothing
-  /// and record nothing -- the paper measures one component at a time "to
-  /// minimize any effects of artificial slowdowns" (§3); benches likewise
-  /// disable the profiler for analyzer-observed runs.
+  /// Selects the points to measure (replacing any earlier selection);
+  /// nothing is selected by default. Unselected regions cost nothing and
+  /// record nothing -- the paper measures one component at a time "to
+  /// minimize any effects of artificial slowdowns" (§3).
+  void select(PointSet points) { selected_ = points; }
+
+  /// Globally enables/disables measurement of the selected points;
+  /// benches disable the profiler for analyzer-observed runs.
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
   /// An open measurement; obtained from begin(), closed by end().
   struct Region {
     bool active = false;
-    std::string name;
+    Point point = Point::kCount;
     TimePs t0;
     TimePs deferred_overhead;  // second half, charged at end()
   };
 
-  Region begin(std::string name);
+  /// Opens a region at `p`; inactive (no time consumed, no overhead
+  /// sampled) unless the profiler is enabled and `p` is selected.
+  Region begin(Point p) {
+    if (!enabled_ || !selected_.contains(p)) return Region{};
+    return open(p);
+  }
   /// Closes the region and records the compensated duration.
   void end(Region& r);
 
@@ -105,8 +200,11 @@ class Profiler {
   std::string report() const;
 
  private:
+  Region open(Point p);
+
   cpu::Core& core_;
   bool enabled_ = true;
+  PointSet selected_;
   ProfileData data_;
 };
 

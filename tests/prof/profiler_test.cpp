@@ -13,25 +13,33 @@ cpu::CpuCostModel deterministic_model() {
   return m;
 }
 
+// A region doing plain work, and a pair that nests in the stack
+// (ucp_tag_send_nb runs inside MPI_Isend).
+constexpr Point kWork = Point::kLlpPost;
+constexpr Point kOuter = Point::kMpiIsend;
+constexpr Point kInner = Point::kUcpTagSendNb;
+
 struct Fixture {
   sim::Simulator sim;
   cpu::Core core;
   Profiler prof;
-  explicit Fixture(cpu::CpuCostModel m) : core(sim, m), prof(core) {}
+  explicit Fixture(cpu::CpuCostModel m) : core(sim, m), prof(core) {
+    prof.select({kWork, kOuter, kInner});
+  }
 };
 
 TEST(Profiler, CompensatedDurationMatchesRegionWork) {
   Fixture f(deterministic_model());
-  auto r = f.prof.begin("work");
+  auto r = f.prof.begin(kWork);
   f.core.consume(175.42_ns);
   f.prof.end(r);
   // With deterministic overhead, compensation is exact.
-  EXPECT_NEAR(f.prof.mean_ns("work"), 175.42, 1e-6);
+  EXPECT_NEAR(f.prof.mean_ns(name(kWork)), 175.42, 1e-6);
 }
 
 TEST(Profiler, PerturbsTimelineByOneOverheadPerRegion) {
   Fixture f(deterministic_model());
-  auto r = f.prof.begin("work");
+  auto r = f.prof.begin(kWork);
   f.core.consume(100_ns);
   f.prof.end(r);
   // Region work + one full timer overhead landed on the core.
@@ -41,11 +49,22 @@ TEST(Profiler, PerturbsTimelineByOneOverheadPerRegion) {
 TEST(Profiler, DisabledCostsAndRecordsNothing) {
   Fixture f(deterministic_model());
   f.prof.set_enabled(false);
-  auto r = f.prof.begin("work");
+  auto r = f.prof.begin(kWork);
   f.core.consume(100_ns);
   f.prof.end(r);
   EXPECT_NEAR(f.core.virtual_now().to_ns(), 100.0, 1e-9);
-  EXPECT_FALSE(f.prof.has("work"));
+  EXPECT_FALSE(f.prof.has(name(kWork)));
+}
+
+TEST(Profiler, UnselectedPointCostsAndRecordsNothing) {
+  Fixture f(deterministic_model());
+  f.prof.select({kOuter});
+  auto r = f.prof.begin(kWork);
+  EXPECT_FALSE(r.active);
+  f.core.consume(100_ns);
+  f.prof.end(r);
+  EXPECT_NEAR(f.core.virtual_now().to_ns(), 100.0, 1e-9);
+  EXPECT_FALSE(f.prof.has(name(kWork)));
 }
 
 TEST(Profiler, NestedRegionsInnerInflatesOuterRaw) {
@@ -53,14 +72,14 @@ TEST(Profiler, NestedRegionsInnerInflatesOuterRaw) {
   // the reason §3 measures one component at a time. Here the outer mean
   // exceeds inner work + outer work by exactly one extra overhead.
   Fixture f(deterministic_model());
-  auto outer = f.prof.begin("outer");
+  auto outer = f.prof.begin(kOuter);
   f.core.consume(50_ns);
-  auto inner = f.prof.begin("inner");
+  auto inner = f.prof.begin(kInner);
   f.core.consume(30_ns);
   f.prof.end(inner);
   f.prof.end(outer);
-  EXPECT_NEAR(f.prof.mean_ns("inner"), 30.0, 1e-6);
-  EXPECT_NEAR(f.prof.mean_ns("outer"), 80.0 + 49.69, 1e-6);
+  EXPECT_NEAR(f.prof.mean_ns(name(kInner)), 30.0, 1e-6);
+  EXPECT_NEAR(f.prof.mean_ns(name(kOuter)), 80.0 + 49.69, 1e-6);
 }
 
 TEST(Profiler, NoisyOverheadCompensationIsUnbiased) {
@@ -69,11 +88,11 @@ TEST(Profiler, NoisyOverheadCompensationIsUnbiased) {
   m.timer_read = cpu::CostSpec{49.69, 1.48 / 49.69, 0.0, 0.0};  // paper §3
   Fixture f(m);
   for (int i = 0; i < 2000; ++i) {
-    auto r = f.prof.begin("work");
+    auto r = f.prof.begin(kWork);
     f.core.consume(100_ns);
     f.prof.end(r);
   }
-  const Summary s = f.prof.samples("work").summarize();
+  const Summary s = f.prof.samples(name(kWork)).summarize();
   EXPECT_NEAR(s.mean, 100.0, 0.15);   // unbiased
   EXPECT_NEAR(s.stddev, 1.48, 0.35);  // residual = timer noise
 }
@@ -87,7 +106,7 @@ TEST(Profiler, RecordNsForDerivedComponents) {
 
 TEST(Profiler, ReportListsRegions) {
   Fixture f(deterministic_model());
-  auto r = f.prof.begin("LLP_post");
+  auto r = f.prof.begin(Point::kLlpPost);
   f.core.consume(175.42_ns);
   f.prof.end(r);
   const std::string rep = f.prof.report();

@@ -4,37 +4,20 @@
 // ring, monotone run, timer heap) must preserve the global (time, seq)
 // order exactly.
 //
-// This binary installs counting global `operator new`/`delete` hooks; it
-// is kept separate from `test_sim` so the hooks cannot perturb other
-// tests.
+// This binary links the counting global `operator new`/`delete` hooks
+// (tests/support/alloc_counter.hpp); it is kept separate from `test_sim`
+// so the hooks cannot perturb other tests.
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "sim/channel.hpp"
 #include "sim/pool.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace bb::sim {
 namespace {
@@ -52,10 +35,10 @@ TEST(EngineAlloc, SteadyStateDispatchIsHeapAllocationFree) {
   };
   wave();  // warm: grows the node pool and the run queue once
   const std::size_t chunks = sim.event_pool_chunks();
-  const std::uint64_t allocs = g_heap_allocs.load();
+  const std::uint64_t allocs = support::heap_allocs();
   for (int w = 0; w < 8; ++w) wave();
   EXPECT_EQ(hits, 9 * 500);
-  EXPECT_EQ(g_heap_allocs.load(), allocs) << "dispatch hot path allocated";
+  EXPECT_EQ(support::heap_allocs(), allocs) << "dispatch hot path allocated";
   EXPECT_EQ(sim.event_pool_chunks(), chunks) << "node pool kept growing";
 }
 
@@ -80,14 +63,14 @@ TEST(EngineAlloc, ChannelPingPongSteadyStateIsHeapAllocationFree) {
   sim.spawn(pinger(a, b, 64));
   sim.spawn(ponger(b, a, 64));
   sim.run();
-  const std::uint64_t allocs = g_heap_allocs.load();
+  const std::uint64_t allocs = support::heap_allocs();
   // Steady state: only the two spawn bookkeeping entries may allocate
   // (roots vector + name), so measure from after the spawns.
   sim.spawn(pinger(a, b, 4096));
   sim.spawn(ponger(b, a, 4096));
-  const std::uint64_t after_spawn = g_heap_allocs.load();
+  const std::uint64_t after_spawn = support::heap_allocs();
   sim.run();
-  EXPECT_EQ(g_heap_allocs.load(), after_spawn)
+  EXPECT_EQ(support::heap_allocs(), after_spawn)
       << "channel send/receive hot path allocated";
   // And the spawns themselves must not have paid for fresh frames.
   EXPECT_LE(after_spawn - allocs, 4u);

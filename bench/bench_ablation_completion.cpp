@@ -19,7 +19,7 @@ struct Point {
 };
 }  // namespace
 
-int main(int argc, char** argv) {
+int bbench::ablation_completion(const Args& args) {
   bbench::header(
       "bench_ablation_completion -- unsignalled-completion period sweep",
       "§6's unsignalled-completions discussion (design ablation)");
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
                      static_cast<double>(tb.node(0).nic.cqes_written()) /
                          static_cast<double>(tb.node(0).nic.messages_injected())};
       },
-      bbench::exec_options(argc, argv));
+      args.exec);
   bbench::note_exec("completion-period sweep", res);
 
   std::printf("%-10s %18s %14s\n", "period c", "per-msg ns", "CQEs/msg");

@@ -33,7 +33,7 @@ PathResult run(bool pio, bool inline_payload) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bbench::ablation_descriptor_path(const Args& args) {
   bbench::header("bench_ablation_descriptor_path -- PIO+inline vs DoorBell+DMA",
                  "§2's descriptor-path discussion (design ablation)");
 
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   const auto res = exec::run_sweep(
       exec::sweep<Path>({{true, true}, {false, true}, {false, false}}),
       [](const Path& p, exec::Job&) { return run(p.pio, p.inline_payload); },
-      bbench::exec_options(argc, argv));
+      args.exec);
   bbench::note_exec("descriptor-path ablation", res);
 
   const PathResult pio = res.values[0];

@@ -74,14 +74,15 @@ fault::FaultConfig storm(double ber) {
   return f;
 }
 
-// Iteration counts, shrunk by --smoke so CI can afford the binary.
+// Iteration counts, shrunk by --smoke so CI can afford the experiment.
 struct Scale {
   std::uint64_t am_iters = 300;
   std::uint64_t am_warmup = 30;
   std::uint64_t put_msgs = 2000;
   std::uint64_t put_warmup = 200;
 };
-Scale g_scale;  // set once in main before any sweep is launched
+constexpr Scale kSmoke{.am_iters = 60, .am_warmup = 10, .put_msgs = 400,
+                       .put_warmup = 40};
 
 struct SweepRow {
   double ber = 0.0;
@@ -102,30 +103,41 @@ bool conserved(scenario::Testbed& tb) {
   return ok;
 }
 
-SweepRow run_at(double ber) {
-  SweepRow row;
-  row.ber = ber;
-  const scenario::SystemConfig cfg =
-      scenario::presets::thunderx2_cx4().with(scenario::overlays::faults(storm(ber)));
+// Runs am_lat, then put_bw, each on a fresh testbed of `cfg`; after each
+// run `audit(tb, row)` folds the run's counters into `row` and returns
+// whether conservation held.
+template <typename Row, typename Audit>
+Row run_pair(Row row, const scenario::SystemConfig& cfg, const Scale& scale,
+             Audit audit) {
   {
     scenario::Testbed tb(cfg);
-    bench::AmLatBenchmark b(tb, {.iterations = g_scale.am_iters,
-                                 .warmup = g_scale.am_warmup,
+    bench::AmLatBenchmark b(tb, {.iterations = scale.am_iters,
+                                 .warmup = scale.am_warmup,
                                  .capture_trace = false});
     row.lat_ns = b.run().adjusted_mean_ns;
-    row.fs.merge(tb.fault_stats());
-    row.conserved = conserved(tb);
+    row.conserved = audit(tb, row);
   }
   {
     scenario::Testbed tb(cfg);
-    bench::PutBwBenchmark b(tb, {.messages = g_scale.put_msgs,
-                                 .warmup = g_scale.put_warmup,
+    bench::PutBwBenchmark b(tb, {.messages = scale.put_msgs,
+                                 .warmup = scale.put_warmup,
                                  .capture_trace = false});
     row.rate_mps = b.run().message_rate() / 1e6;
-    row.fs.merge(tb.fault_stats());
-    row.conserved = row.conserved && conserved(tb);
+    row.conserved = audit(tb, row) && row.conserved;
   }
   return row;
+}
+
+SweepRow run_at(double ber, const Scale& scale) {
+  SweepRow row;
+  row.ber = ber;
+  return run_pair(row,
+                  scenario::presets::thunderx2_cx4().with(
+                      scenario::overlays::faults(storm(ber))),
+                  scale, [](scenario::Testbed& tb, SweepRow& r) {
+                    r.fs.merge(tb.fault_stats());
+                    return conserved(tb);
+                  });
 }
 
 // -- wire-loss sweep (RC transport layer) ----------------------------------
@@ -151,30 +163,16 @@ bool wire_conserved(scenario::Testbed& tb) {
   return ok;
 }
 
-WireRow wire_run_at(double loss) {
+WireRow wire_run_at(double loss, const Scale& scale) {
   WireRow row;
   row.loss = loss;
-  const scenario::SystemConfig cfg = scenario::presets::thunderx2_cx4().with(
-      scenario::overlays::wire_loss(loss));
-  {
-    scenario::Testbed tb(cfg);
-    bench::AmLatBenchmark b(tb, {.iterations = g_scale.am_iters,
-                                 .warmup = g_scale.am_warmup,
-                                 .capture_trace = false});
-    row.lat_ns = b.run().adjusted_mean_ns;
-    row.ts.merge(tb.net_stats());
-    row.conserved = wire_conserved(tb);
-  }
-  {
-    scenario::Testbed tb(cfg);
-    bench::PutBwBenchmark b(tb, {.messages = g_scale.put_msgs,
-                                 .warmup = g_scale.put_warmup,
-                                 .capture_trace = false});
-    row.rate_mps = b.run().message_rate() / 1e6;
-    row.ts.merge(tb.net_stats());
-    row.conserved = row.conserved && wire_conserved(tb);
-  }
-  return row;
+  return run_pair(row,
+                  scenario::presets::thunderx2_cx4().with(
+                      scenario::overlays::wire_loss(loss)),
+                  scale, [](scenario::Testbed& tb, WireRow& r) {
+                    r.ts.merge(tb.net_stats());
+                    return wire_conserved(tb);
+                  });
 }
 
 std::tuple<std::uint64_t, std::int64_t, std::uint64_t> fingerprint(
@@ -189,17 +187,12 @@ std::tuple<std::uint64_t, std::int64_t, std::uint64_t> fingerprint(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bbench::ablation_faults(const Args& args) {
   bbench::header("bench_ablation_faults -- fault-rate sweep & recovery audit",
                  "fault/recovery extension (docs/FAULTS.md; beyond the paper)");
   bbench::Validator v;
-  const auto opts = bbench::exec_options(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      g_scale = Scale{.am_iters = 60, .am_warmup = 10, .put_msgs = 400,
-                      .put_warmup = 40};
-    }
-  }
+  const auto& opts = args.exec;
+  const Scale scale = args.smoke ? kSmoke : Scale{};
 
   // -- 1. rate -> 0 is bit-identical to the error-free baseline ----------
   const auto fp = exec::run_sweep(
@@ -227,7 +220,7 @@ int main(int argc, char** argv) {
               "poisoned");
   const auto rows = exec::run_sweep(
       exec::sweep<double>({0.0, 1e-4, 1e-3, 1e-2}),
-      [](double ber, exec::Job&) { return run_at(ber); }, opts);
+      [&](double ber, exec::Job&) { return run_at(ber, scale); }, opts);
   bbench::note_exec("ber sweep", rows);
   SweepRow at0, at_max;
   for (const SweepRow& r : rows.values) {
@@ -296,7 +289,7 @@ int main(int argc, char** argv) {
               "timer", "qp-err");
   const auto wrows = exec::run_sweep(
       exec::sweep<double>({0.0, 1e-4, 1e-3, 1e-2}),
-      [](double loss, exec::Job&) { return wire_run_at(loss); }, opts);
+      [&](double loss, exec::Job&) { return wire_run_at(loss, scale); }, opts);
   bbench::note_exec("wire-loss sweep", wrows);
   WireRow w0, w_max;
   for (const WireRow& r : wrows.values) {

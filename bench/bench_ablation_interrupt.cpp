@@ -120,7 +120,7 @@ double sparse_rx_cpu_per_msg(bool interrupts) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bbench::ablation_interrupt(const Args& args) {
   bbench::header("bench_ablation_interrupt -- polling vs interrupts",
                  "§2's polling-vs-interrupt trade-off (design ablation)");
 
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
         if (c.sparse) return Result{0.0, sparse_rx_cpu_per_msg(c.interrupts)};
         return run(c.interrupts);
       },
-      bbench::exec_options(argc, argv));
+      args.exec);
   bbench::note_exec("interrupt ablation", res);
 
   const Result poll = res.values[0];

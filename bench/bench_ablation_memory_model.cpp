@@ -14,7 +14,7 @@
 
 using namespace bb;
 
-int main(int argc, char** argv) {
+int bbench::ablation_memory_model(const Args& args) {
   bbench::header("bench_ablation_memory_model -- weak ordering vs TSO",
                  "§4.1's barrier discussion (design ablation)");
 
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
         bench::PutBwBenchmark b(tb, {.messages = 6000, .warmup = 600});
         return b.run().nic_deltas.summarize().mean;
       },
-      bbench::exec_options(argc, argv));
+      args.exec);
   bbench::note_exec("memory-model pair", res);
   const double inj_arm = res.values[0];
   const double inj_tso = res.values[1];

@@ -28,7 +28,7 @@ double run(std::uint32_t poll_every, std::uint32_t txq_depth) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bbench::ablation_poll_batch(const Args& args) {
   bbench::header("bench_ablation_poll_batch -- poll-period sweep",
                  "§4.2's poll-period analysis (p >= gen_completion/LLP_post)");
 
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   const auto res = exec::run_sweep(
       sweep,
       [](const Cfg& c, exec::Job&) { return run(c.poll_every, c.txq_depth); },
-      bbench::exec_options(argc, argv));
+      args.exec);
   bbench::note_exec("poll-period sweep", res);
 
   std::printf("%-12s %20s\n", "poll every", "observed inj (ns)");

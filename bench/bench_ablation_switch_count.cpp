@@ -12,7 +12,7 @@
 
 using namespace bb;
 
-int main(int argc, char** argv) {
+int bbench::ablation_switch_count(const Args& args) {
   bbench::header("bench_ablation_switch_count -- switch-count sweep",
                  "§4.3's switch-differencing methodology, generalized");
 
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
         bench::AmLatBenchmark b(tb, {.iterations = 1200, .warmup = 120});
         return b.run().adjusted_mean_ns;
       },
-      bbench::exec_options(argc, argv));
+      args.exec);
   bbench::note_exec("switch-count sweep", res);
 
   std::printf("%-10s %18s\n", "switches", "latency (ns)");

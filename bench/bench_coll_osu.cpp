@@ -3,13 +3,12 @@
 // 8 ranks (allreduce and bcast), plus barrier/allgather reference rows
 // and a what-if section running the same collective on modified
 // machines. The model rows must land within +-10% of the simulation;
-// the binary exits non-zero otherwise.
+// the experiment fails otherwise.
 //
 // `--smoke` shrinks the sweep for CI (fewer iterations, endpoints of the
 // size range) while keeping the validation band active.
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -21,54 +20,34 @@
 
 namespace {
 
-using bb::bench::CollResult;
 using bb::bench::OsuColl;
-using bb::bench::OsuCollConfig;
 
 double simulate(const bb::scenario::SystemConfig& cfg, int ranks,
                 OsuColl::Kind kind, std::uint32_t bytes,
                 std::uint64_t iterations) {
-  bb::scenario::Cluster cl(cfg, ranks);
-  bb::coll::World world(cl);
-  OsuCollConfig c;
-  c.bytes = bytes;
-  c.iterations = iterations;
-  c.warmup = iterations / 4 + 2;
-  OsuColl bench(world, kind, c);
-  return bench.run().mean_ns();
-}
-
-const char* kind_name(OsuColl::Kind k) {
-  switch (k) {
-    case OsuColl::Kind::kBarrier: return "barrier";
-    case OsuColl::Kind::kBcast: return "bcast";
-    case OsuColl::Kind::kAllgather: return "allgather";
-    case OsuColl::Kind::kAllreduce: return "allreduce";
-  }
-  return "?";
+  return bbench::simulate_coll(cfg, ranks, kind,
+                               {.iterations = iterations,
+                                .warmup = iterations / 4 + 2,
+                                .bytes = bytes});
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-
+int bbench::coll_osu(const Args& args) {
   bbench::header("bench_coll_osu: collective latency, model vs simulated",
                  "collectives built on the paper's §5-§6 MPI stack");
 
   const bb::scenario::SystemConfig cfg = bb::scenario::presets::deterministic();
-  const std::uint64_t iters = smoke ? 8 : 40;
+  const std::uint64_t iters = args.smoke ? 8 : 40;
   const std::vector<std::uint32_t> sizes =
-      smoke ? std::vector<std::uint32_t>{8, 512, 4096}
-            : std::vector<std::uint32_t>{8, 64, 256, 512, 1024, 2048, 4096};
+      args.smoke
+          ? std::vector<std::uint32_t>{8, 512, 4096}
+          : std::vector<std::uint32_t>{8, 64, 256, 512, 1024, 2048, 4096};
   const std::vector<int> rank_counts = {4, 8};
 
   bbench::Validator v;
   bb::model::CollModel model(cfg);
-  const auto opts = bbench::exec_options(argc, argv);
+  const auto& opts = args.exec;
 
   // Main band: kind x ranks x size, expanded in the print order below
   // (size fastest), one simulation per job.

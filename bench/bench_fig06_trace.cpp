@@ -12,7 +12,7 @@
 
 using namespace bb;
 
-int main() {
+int bbench::fig06_trace(const Args&) {
   bbench::header("bench_fig06_trace -- downstream PCIe trace of put_bw",
                  "Fig. 6 (§4.2)");
 

@@ -12,7 +12,7 @@
 
 using namespace bb;
 
-int main() {
+int bbench::fig07_inj_dist(const Args&) {
   bbench::header(
       "bench_fig07_inj_dist -- distribution of observed injection overhead",
       "Fig. 7 + §4.2 validation (model 295.73 vs observed 282.33)");

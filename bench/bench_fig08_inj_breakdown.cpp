@@ -11,17 +11,14 @@
 
 using namespace bb;
 
-int main() {
+int bbench::fig08_inj_breakdown(const Args&) {
   bbench::header("bench_fig08_inj_breakdown -- injection overhead with LLP",
                  "Fig. 8 (§4.2)");
 
   const auto table = core::ComponentTable::from_config(
       scenario::presets::thunderx2_cx4());
   const core::InjectionModel model(table);
-  std::printf("%s\n",
-              render_stacked_bar("model (Eq. 1 constituents)",
-                                 model.fig8_breakdown())
-                  .c_str());
+  bbench::print_bar("model (Eq. 1 constituents)", model.fig8_breakdown());
 
   // The simulated counterpart: attribute the observed per-message time.
   scenario::Testbed tb(scenario::presets::thunderx2_cx4());
@@ -30,15 +27,13 @@ int main() {
   std::printf("observed per-message overhead: %.2f ns (model %.2f ns)\n\n",
               res.nic_deltas.summarize().mean, model.llp_injection_ns());
 
-  auto segs = model.fig8_breakdown();
-  double total = 0;
-  for (const auto& s : segs) total += s.value;
+  const auto segs = model.fig8_breakdown();
 
   bbench::Validator v;
-  v.within("LLP_post share", segs[0].value / total * 100.0, 61.18, 0.01);
-  v.within("LLP_prog share", segs[1].value / total * 100.0, 21.49, 0.01);
-  v.within("Misc share", segs[2].value / total * 100.0, 17.33, 0.01);
+  v.within("LLP_post share", share(segs, 0), 61.18, 0.01);
+  v.within("LLP_prog share", share(segs, 1), 21.49, 0.01);
+  v.within("Misc share", share(segs, 2), 17.33, 0.01);
   v.is_true("LLP_post dominates injection (>60%)",
-            segs[0].value / total > 0.6);
+            segs[0].value / total(segs) > 0.6);
   return v.finish();
 }

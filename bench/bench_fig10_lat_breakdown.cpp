@@ -13,7 +13,7 @@
 
 using namespace bb;
 
-int main() {
+int bbench::fig10_lat_breakdown(const Args&) {
   bbench::header("bench_fig10_lat_breakdown -- latency with the LLP",
                  "Fig. 10 + §4.3 validation (model 1135.8 vs observed 1190.25)");
 
@@ -24,10 +24,8 @@ int main() {
   const auto table = core::ComponentTable::from_config(tb.config());
   const core::LatencyModel model(table);
 
-  std::printf("%s\n",
-              render_stacked_bar("model constituents (LLP latency)",
-                                 model.fig10_breakdown())
-                  .c_str());
+  bbench::print_bar("model constituents (LLP latency)",
+                    model.fig10_breakdown());
   std::printf("raw observed am_lat:        %.2f ns\n",
               res.half_rtt_raw.summarize().mean);
   std::printf("adjusted (minus update/2):  %.2f ns (paper: 1190.25)\n",
@@ -35,20 +33,17 @@ int main() {
   std::printf("modelled LLP latency:       %.2f ns (paper: 1135.8)\n\n",
               model.llp_latency_ns());
 
-  auto segs = model.fig10_breakdown();
-  double total = 0;
-  for (const auto& s : segs) total += s.value;
-  auto share = [&](std::size_t i) { return segs[i].value / total * 100.0; };
+  const auto segs = model.fig10_breakdown();
 
   bbench::Validator v;
   v.within("model within 5% of observed", model.llp_latency_ns(),
            res.adjusted_mean_ns, 0.05);
   v.within("modelled latency = 1135.8", model.llp_latency_ns(), 1135.8, 0.001);
-  v.within("LLP_post share", share(0), 16.33, 0.01);
-  v.within("TX PCIe share", share(1), 12.80, 0.01);
-  v.within("Wire share", share(2), 25.58, 0.01);
-  v.within("Switch share", share(3), 10.05, 0.01);
-  v.within("RX PCIe share", share(4), 12.80, 0.01);
-  v.within("RC-to-MEM(8B) share", share(5), 22.43, 0.01);
+  v.within("LLP_post share", share(segs, 0), 16.33, 0.01);
+  v.within("TX PCIe share", share(segs, 1), 12.80, 0.01);
+  v.within("Wire share", share(segs, 2), 25.58, 0.01);
+  v.within("Switch share", share(segs, 3), 10.05, 0.01);
+  v.within("RX PCIe share", share(segs, 4), 12.80, 0.01);
+  v.within("RC-to-MEM(8B) share", share(segs, 5), 22.43, 0.01);
   return v.finish();
 }

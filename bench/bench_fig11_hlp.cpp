@@ -2,15 +2,13 @@
 // UCP, for MPI_Isend initiation and for a successful receive-side
 // MPI_Wait.
 
-#include <cstdio>
-
 #include "core/models.hpp"
 #include "scenario/testbed.hpp"
 #include "util.hpp"
 
 using namespace bb;
 
-int main() {
+int bbench::fig11_hlp(const Args&) {
   bbench::header("bench_fig11_hlp -- MPICH vs UCP time in the HLP",
                  "Fig. 11 (§5)");
 
@@ -19,23 +17,14 @@ int main() {
   const core::LatencyModel model(table);
   const auto split = model.fig11_split();
 
-  std::printf("%s\n",
-              render_stacked_bar("MPI_Isend (HLP share)", split.isend).c_str());
-  std::printf("%s\n",
-              render_stacked_bar("RX MPI_Wait (successful)", split.rx_wait)
-                  .c_str());
-
-  auto pct = [](const std::vector<BarSegment>& segs, std::size_t i) {
-    double total = 0;
-    for (const auto& s : segs) total += s.value;
-    return segs[i].value / total * 100.0;
-  };
+  bbench::print_bar("MPI_Isend (HLP share)", split.isend);
+  bbench::print_bar("RX MPI_Wait (successful)", split.rx_wait);
 
   bbench::Validator v;
-  v.within("Isend UCP share", pct(split.isend, 0), 8.24, 0.01);
-  v.within("Isend MPICH share", pct(split.isend, 1), 91.76, 0.01);
-  v.within("Wait UCP share", pct(split.rx_wait, 0), 33.91, 0.01);
-  v.within("Wait MPICH share", pct(split.rx_wait, 1), 66.09, 0.01);
+  v.within("Isend UCP share", share(split.isend, 0), 8.24, 0.01);
+  v.within("Isend MPICH share", share(split.isend, 1), 91.76, 0.01);
+  v.within("Wait UCP share", share(split.rx_wait, 0), 33.91, 0.01);
+  v.within("Wait MPICH share", share(split.rx_wait, 1), 66.09, 0.01);
   v.within("successful MPI_Wait total (443.8 ns)",
            split.rx_wait[0].value + split.rx_wait[1].value, 443.8, 0.001);
   return v.finish();

@@ -12,7 +12,7 @@
 
 using namespace bb;
 
-int main() {
+int bbench::fig12_overall_inj(const Args&) {
   bbench::header("bench_fig12_overall_inj -- overall injection overhead",
                  "Fig. 12 + §6 validation (264.97 vs 263.91, within 1%)");
 
@@ -23,10 +23,7 @@ int main() {
   const auto table = core::ComponentTable::from_config(tb.config());
   const core::InjectionModel model(table);
 
-  std::printf("%s\n",
-              render_stacked_bar("model (Eq. 2 constituents)",
-                                 model.fig12_breakdown())
-                  .c_str());
+  bbench::print_bar("model (Eq. 2 constituents)", model.fig12_breakdown());
   std::printf("modelled overall injection (Eq. 2): %.2f ns (paper: 264.97)\n",
               model.overall_injection_ns());
   std::printf("observed 1/message-rate:            %.2f ns (paper: 263.91)\n",
@@ -36,16 +33,15 @@ int main() {
               static_cast<unsigned long long>(res.busy_posts),
               static_cast<unsigned long long>(res.messages));
 
-  auto segs = model.fig12_breakdown();
-  double total = 0;
-  for (const auto& s : segs) total += s.value;
+  const auto segs = model.fig12_breakdown();
 
   bbench::Validator v;
   v.within("model within ~1% of observed", model.overall_injection_ns(),
            res.cpu_per_msg_ns, 0.015);
-  v.within("Post share", segs[2].value / total * 100.0, 76.23, 0.01);
-  v.within("Post_prog share", segs[1].value / total * 100.0, 22.58, 0.01);
-  v.within("Misc share", segs[0].value / total * 100.0, 1.20, 0.05);
-  v.is_true("Insight 1: Post dominates (>70%)", segs[2].value / total > 0.7);
+  v.within("Post share", share(segs, 2), 76.23, 0.01);
+  v.within("Post_prog share", share(segs, 1), 22.58, 0.01);
+  v.within("Misc share", share(segs, 0), 1.20, 0.05);
+  v.is_true("Insight 1: Post dominates (>70%)",
+            segs[2].value / total(segs) > 0.7);
   return v.finish();
 }

@@ -12,7 +12,7 @@
 
 using namespace bb;
 
-int main() {
+int bbench::fig13_e2e_latency(const Args&) {
   bbench::header("bench_fig13_e2e_latency -- end-to-end latency breakdown",
                  "Fig. 13 + §6 validation (1387.02 vs 1336, within 4%)");
 
@@ -26,8 +26,7 @@ int main() {
 
   // The figure is a bar chart in nanoseconds; print both ns and shares.
   std::printf("%-16s %10s %8s\n", "component", "ns", "share");
-  double total = 0;
-  for (const auto& s : segs) total += s.value;
+  const double total = bbench::total(segs);
   for (const auto& s : segs) {
     std::printf("%-16s %10.2f %7.2f%%\n", s.label.c_str(), s.value,
                 s.value / total * 100.0);
@@ -36,20 +35,18 @@ int main() {
   std::printf("observed OSU latency (adjusted): %.2f ns (paper: 1336)\n\n",
               res.adjusted_mean_ns);
 
-  auto share = [&](std::size_t i) { return segs[i].value / total * 100.0; };
-
   bbench::Validator v;
   v.within("model within 4% of observed", model.e2e_latency_ns(),
            res.adjusted_mean_ns, 0.04);
   v.within("modelled e2e latency = 1387.02", total, 1387.02, 0.001);
-  v.within("HLP_post share", share(0), 1.91, 0.02);
-  v.within("LLP_post share", share(1), 12.65, 0.01);
-  v.within("TX PCIe share", share(2), 9.91, 0.01);
-  v.within("Wire share", share(3), 19.81, 0.01);
-  v.within("Switch share", share(4), 7.79, 0.01);
-  v.within("RX PCIe share", share(5), 9.91, 0.01);
-  v.within("RC-to-MEM share", share(6), 17.37, 0.01);
-  v.within("LLP_prog share", share(7), 4.44, 0.01);
-  v.within("HLP_rx_prog share", share(8), 16.20, 0.01);
+  v.within("HLP_post share", share(segs, 0), 1.91, 0.02);
+  v.within("LLP_post share", share(segs, 1), 12.65, 0.01);
+  v.within("TX PCIe share", share(segs, 2), 9.91, 0.01);
+  v.within("Wire share", share(segs, 3), 19.81, 0.01);
+  v.within("Switch share", share(segs, 4), 7.79, 0.01);
+  v.within("RX PCIe share", share(segs, 5), 9.91, 0.01);
+  v.within("RC-to-MEM share", share(segs, 6), 17.37, 0.01);
+  v.within("LLP_prog share", share(segs, 7), 4.44, 0.01);
+  v.within("HLP_rx_prog share", share(segs, 8), 16.20, 0.01);
   return v.finish();
 }

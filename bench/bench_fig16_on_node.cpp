@@ -4,15 +4,13 @@
 // dominates the initiator because PIO leaves it a single PCIe
 // transaction).
 
-#include <cstdio>
-
 #include "core/models.hpp"
 #include "scenario/testbed.hpp"
 #include "util.hpp"
 
 using namespace bb;
 
-int main() {
+int bbench::fig16_on_node(const Args&) {
   bbench::header("bench_fig16_on_node -- time spent on node",
                  "Fig. 16 (§6, Insight 3)");
 
@@ -20,29 +18,23 @@ int main() {
       scenario::presets::thunderx2_cx4());
   const auto on = core::LatencyModel(table).fig16_on_node();
 
-  std::printf("%s\n", render_stacked_bar("On-node", on.split).c_str());
-  std::printf("%s\n", render_stacked_bar("Initiator", on.initiator).c_str());
-  std::printf("%s\n", render_stacked_bar("Target", on.target).c_str());
-  std::printf("%s\n", render_stacked_bar("Target I/O", on.target_io).c_str());
-
-  auto pct = [](const std::vector<BarSegment>& segs, std::size_t i) {
-    double total = 0;
-    for (const auto& s : segs) total += s.value;
-    return segs[i].value / total * 100.0;
-  };
+  bbench::print_bar("On-node", on.split);
+  bbench::print_bar("Initiator", on.initiator);
+  bbench::print_bar("Target", on.target);
+  bbench::print_bar("Target I/O", on.target_io);
 
   bbench::Validator v;
-  v.within("Initiator share", pct(on.split, 0), 33.80, 0.01);
-  v.within("Target share", pct(on.split, 1), 66.20, 0.01);
-  v.within("Initiator CPU share", pct(on.initiator, 0), 59.50, 0.01);
-  v.within("Initiator I/O share", pct(on.initiator, 1), 40.50, 0.01);
-  v.within("Target CPU share", pct(on.target, 0), 43.07, 0.01);
-  v.within("Target I/O share", pct(on.target, 1), 56.93, 0.01);
-  v.within("Target I/O: RC-to-MEM share", pct(on.target_io, 0), 63.67, 0.01);
-  v.within("Target I/O: PCIe share", pct(on.target_io, 1), 36.33, 0.01);
+  v.within("Initiator share", share(on.split, 0), 33.80, 0.01);
+  v.within("Target share", share(on.split, 1), 66.20, 0.01);
+  v.within("Initiator CPU share", share(on.initiator, 0), 59.50, 0.01);
+  v.within("Initiator I/O share", share(on.initiator, 1), 40.50, 0.01);
+  v.within("Target CPU share", share(on.target, 0), 43.07, 0.01);
+  v.within("Target I/O share", share(on.target, 1), 56.93, 0.01);
+  v.within("Target I/O: RC-to-MEM share", share(on.target_io, 0), 63.67, 0.01);
+  v.within("Target I/O: PCIe share", share(on.target_io, 1), 36.33, 0.01);
   v.is_true("Insight 3: majority of on-node time on target",
-            pct(on.split, 1) > 50);
+            share(on.split, 1) > 50);
   v.is_true("Insight 3: software majority on initiator",
-            pct(on.initiator, 0) > 50);
+            share(on.initiator, 0) > 50);
   return v.finish();
 }

@@ -36,7 +36,7 @@ double observed_latency_ns(const scenario::SystemConfig& cfg) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bbench::fig17_whatif(const Args& args) {
   bbench::header("bench_fig17_whatif -- simulated optimizations",
                  "Fig. 17 a-d + the §7 spot checks");
 
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
             return observed_latency_ns(scenario::presets::genz_switch(30.0));
         }
       },
-      bbench::exec_options(argc, argv));
+      args.exec);
   bbench::note_exec("what-if configurations", res);
   const double base_inj = res.values[0];
   const double base_lat = res.values[1];

@@ -61,7 +61,7 @@ double aggregate_rate_mmsgs(int cores) {
 
 }  // namespace
 
-int main() {
+int bbench::scaling_cores(const Args&) {
   bbench::header("bench_scaling_cores -- multi-core injection scaling",
                  "extension of §1's fine-grained-communication motivation");
 

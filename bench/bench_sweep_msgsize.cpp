@@ -53,7 +53,7 @@ Point run(std::uint32_t bytes) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bbench::sweep_msgsize(const Args& args) {
   bbench::header("bench_sweep_msgsize -- latency vs payload size",
                  "extension of §1's small- vs large-message argument");
 
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
       {8u, 32u, 64u, 128u, 512u, 1024u, 4096u});
   const auto res = exec::run_sweep(
       sweep, [](std::uint32_t bytes, exec::Job&) { return run(bytes); },
-      bbench::exec_options(argc, argv));
+      args.exec);
   bbench::note_exec("msgsize sweep", res);
 
   std::printf("%-10s %16s %12s\n", "bytes", "latency (ns)", "CPU share");

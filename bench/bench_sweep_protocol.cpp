@@ -65,7 +65,7 @@ double one_way_ns(std::uint32_t bytes, std::uint32_t rndv_threshold) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bbench::sweep_protocol(const Args& args) {
   bbench::header("bench_sweep_protocol -- eager vs rendezvous crossover",
                  "extension: the protocol switch UCX makes above a threshold");
 
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
       [](const auto& pt, exec::Job&) {
         return one_way_ns(std::get<0>(pt), std::get<1>(pt));
       },
-      bbench::exec_options(argc, argv));
+      args.exec);
   bbench::note_exec("protocol sweep", res);
 
   std::printf("%-10s %14s %14s\n", "bytes", "eager (ns)", "rndv (ns)");

@@ -4,12 +4,11 @@
 // thresholds in CollTuning can be read straight off the crossovers.
 //
 // Validation is intentionally loose here: the hard model band lives in
-// bench_coll_osu. This sweep asserts only structural facts -- both
+// coll_osu. This sweep asserts only structural facts -- both
 // algorithms complete everywhere, and the model ranks the algorithms in
 // the same order as the simulator at the sweep endpoints.
 
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "benchlib/osu_coll.hpp"
@@ -21,21 +20,16 @@
 namespace {
 
 using bb::bench::OsuColl;
-using bb::bench::OsuCollConfig;
 using bb::coll::Algo;
 
 double simulate(const bb::scenario::SystemConfig& cfg, int ranks,
                 OsuColl::Kind kind, std::uint32_t bytes, Algo algo,
                 std::uint64_t iterations) {
-  bb::scenario::Cluster cl(cfg, ranks);
-  bb::coll::World world(cl);
-  OsuCollConfig c;
-  c.bytes = bytes;
-  c.iterations = iterations;
-  c.warmup = iterations / 4 + 1;
-  c.algo = algo;
-  OsuColl bench(world, kind, c);
-  return bench.run().mean_ns();
+  return bbench::simulate_coll(cfg, ranks, kind,
+                               {.iterations = iterations,
+                                .warmup = iterations / 4 + 1,
+                                .bytes = bytes,
+                                .algo = algo});
 }
 
 struct Pair {
@@ -48,20 +42,16 @@ struct Pair {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-
+int bbench::sweep_ranks(const Args& args) {
   bbench::header("bench_sweep_ranks: algorithm families across rank counts",
                  "selection thresholds in the spirit of MPICH/UCX tuning");
 
   const bb::scenario::SystemConfig cfg = bb::scenario::presets::deterministic();
   bb::model::CollModel model(cfg);
-  const std::uint64_t iters = smoke ? 6 : 24;
+  const std::uint64_t iters = args.smoke ? 6 : 24;
   const std::vector<int> ranks =
-      smoke ? std::vector<int>{2, 5, 8} : std::vector<int>{2, 3, 4, 5, 6, 8, 11, 13, 16};
+      args.smoke ? std::vector<int>{2, 5, 8}
+                 : std::vector<int>{2, 3, 4, 5, 6, 8, 11, 13, 16};
 
   const std::vector<Pair> pairs = {
       {"barrier 8B", OsuColl::Kind::kBarrier, 8, Algo::kDissemination,
@@ -92,7 +82,7 @@ int main(int argc, char** argv) {
         return Cell{simulate(cfg, n, p.kind, p.bytes, p.a, iters),
                     simulate(cfg, n, p.kind, p.bytes, p.b, iters)};
       },
-      bbench::exec_options(argc, argv));
+      args.exec);
   bbench::note_exec("rank sweep", res);
 
   for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
@@ -108,25 +98,8 @@ int main(int argc, char** argv) {
       const Cell& cell = res.values[pi * ranks.size() + ri];
       const double sa = cell.sim_a;
       const double sb = cell.sim_b;
-      double ma = 0, mb = 0;
-      switch (p.kind) {
-        case OsuColl::Kind::kBarrier:
-          ma = model.barrier_ns(n, p.a);
-          mb = model.barrier_ns(n, p.b);
-          break;
-        case OsuColl::Kind::kBcast:
-          ma = model.bcast_ns(n, p.bytes, p.a);
-          mb = model.bcast_ns(n, p.bytes, p.b);
-          break;
-        case OsuColl::Kind::kAllgather:
-          ma = model.allgather_ns(n, p.bytes, p.a);
-          mb = model.allgather_ns(n, p.bytes, p.b);
-          break;
-        case OsuColl::Kind::kAllreduce:
-          ma = model.allreduce_ns(n, p.bytes, p.a);
-          mb = model.allreduce_ns(n, p.bytes, p.b);
-          break;
-      }
+      const double ma = model_coll(model, p.kind, n, p.bytes, p.a);
+      const double mb = model_coll(model, p.kind, n, p.bytes, p.b);
       std::printf("  %5d | %14.1f %14.1f | %14.1f %14.1f\n", n, sa, ma, sb,
                   mb);
       v.is_true("simulated latency positive", sa > 0 && sb > 0);

@@ -35,27 +35,12 @@ struct LlpMeasurement {
 LlpMeasurement measure_llp() {
   LlpMeasurement out{};
   // Substeps (one-at-a-time rule: a dedicated run).
-  {
-    Testbed tb(scenario::presets::thunderx2_cx4());
-    tb.node(0).profiler.select(prof::kPostSubsteps);
-    auto& ep = tb.add_endpoint(0);
-    tb.sim().spawn([](Testbed::Node& n, llp::Endpoint& e) -> sim::Task<void> {
-      for (int i = 0; i < kSamples; ++i) {
-        while (co_await e.put_short(8) != llp::Status::kOk) {
-          co_await n.worker.progress();
-        }
-        if (i % 8 == 0) co_await n.worker.progress();
-      }
-      while (e.outstanding() > 0) co_await n.worker.progress();
-    }(tb.node(0), ep));
-    tb.sim().run();
-    auto& prof = tb.node(0).profiler;
-    out.md_setup = prof.mean_ns("MD setup");
-    out.barrier_md = prof.mean_ns("Barrier for MD");
-    out.barrier_dbc = prof.mean_ns("Barrier for DBC");
-    out.pio_copy = prof.mean_ns("PIO copy");
-    out.misc = prof.mean_ns("Other");
-  }
+  const auto sub = bbench::profile_post_substeps(kSamples);
+  out.md_setup = sub[0].value;
+  out.barrier_md = sub[1].value;
+  out.barrier_dbc = sub[2].value;
+  out.pio_copy = sub[3].value;
+  out.misc = sub[4].value;
 
   // LLP_post total + busy posts.
   {
@@ -236,7 +221,7 @@ HlpMeasurement measure_hlp() {
 
 }  // namespace
 
-int main() {
+int bbench::table1(const Args&) {
   bbench::header("bench_table1 -- measured times of various components",
                  "Table 1 (plus the §4.3/§5 measurement methodology)");
 

@@ -1,6 +1,6 @@
 // Trace inspector: runs the am_lat ping-pong and walks through the
 // paper's measurement methodology (§4.3) step by step on the captured
-// PCIe trace -- the educational companion to bench_table1.
+// PCIe trace -- the educational companion to `bbsim run table1`.
 
 #include <cstdio>
 
@@ -50,6 +50,6 @@ int main() {
               rc.summarize().mean);
 
   std::printf("Each of these is the exact procedure §4.3 describes; see\n"
-              "bench_table1 for the full validated reproduction.\n");
+              "`bbsim run table1` for the full validated reproduction.\n");
   return 0;
 }

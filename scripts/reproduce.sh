@@ -2,7 +2,7 @@
 # Full reproduction pipeline: build, test, regenerate every table/figure.
 # Outputs land in test_output.txt and bench_output.txt at the repo root.
 #
-# JOBS controls the bb::exec pool each bench shards its simulations over
+# JOBS controls the bb::exec pool each experiment shards its simulations over
 # (default: all hardware threads). The printed tables are bit-identical
 # at every value -- only the wall-clock changes.
 set -euo pipefail
@@ -15,22 +15,11 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-: > bench_output.txt
-status=0
 bench_start=$(date +%s)
-for b in build/bench/*; do
-  [ -x "$b" ] || continue
-  echo "================================================================" \
-    | tee -a bench_output.txt
-  extra=(--jobs "$JOBS")
-  # google-benchmark binaries reject non-benchmark flags.
-  [ "$(basename "$b")" = bench_engine_perf ] && extra=()
-  if ! "$b" "${extra[@]}" 2>&1 | tee -a bench_output.txt; then
-    echo "!! $(basename "$b") FAILED its reproduction bands" \
-      | tee -a bench_output.txt
-    status=1
-  fi
-done
+status=0
+build/bench/bbsim run all --jobs "$JOBS" 2>&1 | tee bench_output.txt \
+  || status=1
+build/bench/bench_engine_perf 2>&1 | tee -a bench_output.txt || status=1
 echo "bench suite wall-clock: $(($(date +%s) - bench_start))s at JOBS=$JOBS" \
   | tee -a bench_output.txt
 exit "$status"

@@ -46,7 +46,7 @@ TEST(CollModel, WhatIfOverlaysMoveTheModel) {
 
 // Property: across randomized rank counts and sizes the analytical model
 // tracks the simulator within a stated band. The band is wider than the
-// +-10% the calibrated 4/8-rank OSU sweep guarantees (bench_coll_osu)
+// +-10% the calibrated 4/8-rank OSU sweep guarantees (bbsim run coll_osu)
 // because arbitrary rank counts include fold/unfold and uneven-chunk
 // schedules the model only approximates: +-15%.
 TEST(CollModel, TracksSimulatorAcrossRandomizedShapes) {

@@ -25,6 +25,7 @@ sim::Task<void> AmLatBenchmark::initiator() {
     // Poll until the pong's receive completion shows up.
     const std::uint64_t seen = node.worker.rx_completions();
     while (node.worker.rx_completions() == seen) {
+      co_await node.worker.idle();
       co_await node.worker.progress();
     }
     // The benchmark's measurement update (on the critical path once per
@@ -46,6 +47,7 @@ sim::Task<void> AmLatBenchmark::responder() {
   for (std::uint64_t i = 0; i < cfg_.warmup + cfg_.iterations; ++i) {
     const std::uint64_t seen = node.worker.rx_completions();
     while (node.worker.rx_completions() == seen) {
+      co_await node.worker.idle();
       co_await node.worker.progress();
     }
     while (co_await ep1_.am_short(cfg_.bytes) != llp::Status::kOk) {

@@ -37,6 +37,14 @@ sim::Task<void> PutBwBenchmark::driver() {
   }
   measured_cpu_end_ns_ = core.virtual_now().to_ns();
 
+  // Ops posted after the last signalled one get no CQE of their own
+  // (moderated completions): a flush retires them.
+  if (ep_.posted() % ep_.config().signal.period != 0) {
+    while (co_await ep_.flush() == llp::Status::kNoResource) {
+      co_await node.worker.progress(1);
+    }
+    flushed_ = true;
+  }
   // Drain remaining completions so the run ends quiescent.
   while (ep_.outstanding() > 0) {
     co_await node.worker.progress();
@@ -56,9 +64,13 @@ InjectionResult PutBwBenchmark::run() {
                        static_cast<double>(cfg_.messages);
 
   if (cfg_.capture_trace) {
-    // Every post is one downstream 64 B MWr; drop the warmup prefix and
-    // compute consecutive deltas (§4.2's methodology).
-    auto posts = tb_.analyzer().trace().downstream_writes(64);
+    // Every post is one downstream MWr: a >= 64 B PIO descriptor write,
+    // or an 8 B DoorBell on the DMA descriptor path. Drop the closing
+    // flush and the warmup prefix, then compute consecutive deltas
+    // (§4.2's methodology).
+    auto posts = tb_.analyzer().trace().downstream_writes(
+        ep_.config().use_pio ? 64 : 8);
+    if (flushed_ && !posts.empty()) posts.pop_back();
     BB_ASSERT(posts.size() >= cfg_.warmup + 2);
     posts.erase(posts.begin(),
                 posts.begin() + static_cast<std::ptrdiff_t>(cfg_.warmup));

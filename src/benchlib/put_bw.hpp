@@ -52,6 +52,7 @@ class PutBwBenchmark {
   llp::Endpoint& ep_;
   double measured_cpu_start_ns_ = 0.0;
   double measured_cpu_end_ns_ = 0.0;
+  bool flushed_ = false;  // the driver posted a closing flush
 };
 
 }  // namespace bb::bench

@@ -71,20 +71,38 @@ sim::Task<std::uint32_t> Communicator::progress() {
   co_return n;
 }
 
+TimePs Communicator::watchdog_deadline() {
+  const double timeout_us = tuning().wait_timeout_us;
+  if (timeout_us <= 0.0) return TimePs::max();
+  return core().virtual_now() + TimePs::from_ns(timeout_us * 1000.0);
+}
+
+bool Communicator::has_pending_work() const {
+  for (const auto& u : ucp_) {
+    if (u && u->has_pending_work()) return true;
+  }
+  return false;
+}
+
 sim::Task<common::Status> Communicator::wait(hlp::Request* req) {
   cpu::Core& c = core();
   // Same cost structure as the pt2pt MpiComm::wait; the progress engine
   // spans all peers.
   c.consume(c.costs().mpich_wait_fixed);
-  const double timeout_us = tuning().wait_timeout_us;
-  const TimePs deadline =
-      c.virtual_now() + TimePs::from_ns(timeout_us * 1000.0);
+  const TimePs deadline = watchdog_deadline();
   while (!req->complete) {
-    if (timeout_us > 0.0 && c.virtual_now() > deadline) {
+    if (c.virtual_now() > deadline) {
       // Watchdog: diagnosable abort instead of a hang (the request stays
       // incomplete; the transport underneath it is stuck or flushed).
       co_await c.flush();
       co_return common::Status::kTimedOut;
+    }
+    // Passes that can only poll run as bare events; after any, re-check
+    // the watchdog before the next real pass.
+    if (!has_pending_work() &&
+        co_await node_.worker.idle(&c.costs().ucp_progress_iter,
+                                   deadline) > 0) {
+      continue;
     }
     co_await progress();
   }
@@ -100,9 +118,7 @@ sim::Task<common::Status> Communicator::waitall(
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     c.consume(c.costs().hlp_tx_prog);
   }
-  const double timeout_us = tuning().wait_timeout_us;
-  const TimePs deadline =
-      c.virtual_now() + TimePs::from_ns(timeout_us * 1000.0);
+  const TimePs deadline = watchdog_deadline();
   for (;;) {
     bool all = true;
     for (hlp::Request* r : reqs) {
@@ -112,9 +128,14 @@ sim::Task<common::Status> Communicator::waitall(
       }
     }
     if (all) break;
-    if (timeout_us > 0.0 && c.virtual_now() > deadline) {
+    if (c.virtual_now() > deadline) {
       co_await c.flush();
       co_return common::Status::kTimedOut;
+    }
+    if (!has_pending_work() &&
+        co_await node_.worker.idle(&c.costs().ucp_progress_iter,
+                                   deadline) > 0) {
+      continue;
     }
     co_await progress();
   }

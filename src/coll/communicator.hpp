@@ -65,6 +65,13 @@ class Communicator {
   Communicator(World& world, scenario::Cluster& cl, int rank,
                std::uint32_t signal_period, std::uint32_t rndv_threshold);
 
+  /// Core time past which a blocking wait gives up (wait_timeout_us from
+  /// now; never when the watchdog is off).
+  TimePs watchdog_deadline();
+  /// Whether any peer stack has queued work (busy-post retries,
+  /// rendezvous control or data) for the next progress pass.
+  bool has_pending_work() const;
+
   World& world_;
   scenario::Testbed::Node& node_;
   int rank_;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -49,6 +50,18 @@ class Core {
   /// Converts all pending work into simulated delay. Must be awaited before
   /// interacting with any other simulation entity.
   sim::Task<void> flush();
+
+  /// flush() as a bare callback event: schedules `fn` at the time flush()
+  /// would resume (same time, same single schedule) and returns true, or
+  /// returns false without scheduling anything when no work is pending.
+  template <typename F>
+  bool flush_then(F&& fn) {
+    if (pending_ == TimePs::zero()) return false;
+    const TimePs d = pending_;
+    pending_ = TimePs::zero();
+    sim_.call_in(d, std::forward<F>(fn));
+    return true;
+  }
 
   /// Core-local time: simulator time plus un-flushed pending work.
   TimePs virtual_now() const;

@@ -52,7 +52,11 @@ sim::Task<common::Status> MpiComm::wait(Request* req) {
   c.consume(c.costs().mpich_wait_fixed);
 
   // The progress engine: loop on ucp_worker_progress until complete.
+  // Passes that can only poll run as bare events (llp::Worker::idle).
   while (!req->complete) {
+    if (!ucp_.has_pending_work()) {
+      co_await ucp_.uct_worker().idle(&c.costs().ucp_progress_iter);
+    }
     co_await ucp_.progress();
   }
 
@@ -84,6 +88,9 @@ sim::Task<common::Status> MpiComm::waitall(const std::vector<Request*>& reqs) {
       }
     }
     if (all) break;
+    if (!ucp_.has_pending_work()) {
+      co_await ucp_.uct_worker().idle(&c.costs().ucp_progress_iter);
+    }
     co_await ucp_.progress();
   }
   co_await c.flush();

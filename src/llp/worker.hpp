@@ -9,7 +9,13 @@
 // accounting, registered upper-layer callbacks) runs before the pass
 // returns, exactly as UCT executes callbacks before uct_worker_progress
 // returns (§5).
+//
+// A blocking wait spends nearly all of its passes finding nothing. idle()
+// runs those empty passes as bare callback events instead of coroutine
+// round trips, with identical costs, times and events (docs/SIM_ENGINE.md,
+// "Idle progress passes").
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -49,11 +55,25 @@ class Worker {
   /// Message ids are allocated node-wide (via the host memory image) so
   /// multiple workers on one node never collide at the shared NIC.
   std::uint64_t alloc_msg_id() { return host_.alloc_msg_id(); }
-  void register_endpoint(Endpoint* ep) { endpoints_.push_back(ep); }
+  void register_endpoint(Endpoint* ep);
 
   /// One uct_worker_progress pass; returns completions processed (TX ops
   /// retired count as the number of CQEs dequeued, not ops).
   sim::Task<std::uint32_t> progress(std::uint32_t max_completions = 0);
+
+  class IdleAwaiter;
+  /// Runs the empty passes of a blocking wait, each as one callback event.
+  /// A pass charges `upper_pass` (the layer above's per-pass cost, e.g.
+  /// ucp_progress_iter; null for none), then the empty-pass cost, and
+  /// schedules its flush exactly as progress() would. The await returns,
+  /// with the number of passes run, once a polled CQ holds an entry (the
+  /// next progress() has work) or core time passes `deadline`. It runs no
+  /// pass at all when one of those already holds, or when a per-pass
+  /// profiler point is active. Only valid while the caller's progress
+  /// pass would do nothing but poll: no pending sends or control traffic
+  /// above.
+  IdleAwaiter idle(const cpu::CostSpec* upper_pass = nullptr,
+                   TimePs deadline = TimePs::max());
 
   std::uint64_t tx_cqes_polled() const { return tx_cqes_polled_; }
   std::uint64_t tx_ops_retired() const { return tx_ops_retired_; }
@@ -72,11 +92,23 @@ class Worker {
   }
 
  private:
+  // An endpoint and its TX CQ (std::map nodes are stable, so the ring
+  // pointer outlives every later insertion).
+  struct Polled {
+    Endpoint* ep;
+    nic::CqRing* tx_cq;
+  };
+
+  /// Whether a progress pass now would dequeue something.
+  bool completion_ready() const;
+  /// Whether progress() would open a measured region every pass.
+  bool profiling_passes() const;
+
   cpu::Core& core_;
   nic::HostMemory& host_;
   WorkerConfig cfg_;
   prof::Profiler* profiler_ = nullptr;
-  std::vector<Endpoint*> endpoints_;
+  std::vector<Polled> endpoints_;
   std::function<void(const nic::Cqe&)> rx_handler_;
   std::uint64_t tx_cqes_polled_ = 0;
   std::uint64_t tx_ops_retired_ = 0;
@@ -85,5 +117,40 @@ class Worker {
   std::uint64_t flushed_completions_ = 0;
   fault::FaultStats* fault_stats_ = nullptr;
 };
+
+class Worker::IdleAwaiter {
+ public:
+  IdleAwaiter(Worker& w, const cpu::CostSpec* upper_pass, TimePs deadline)
+      : w_(w), upper_pass_(upper_pass), deadline_(deadline) {}
+
+  bool await_ready() const { return w_.profiling_passes() || done(); }
+  bool await_suspend(std::coroutine_handle<> h) {
+    h_ = h;
+    return run();
+  }
+  std::uint64_t await_resume() const { return passes_; }
+
+ private:
+  bool done() const {
+    return w_.core_.virtual_now() > deadline_ || w_.completion_ready();
+  }
+  // Runs passes until one schedules its flush (true: stay suspended) or
+  // the wait is done without time passing (false).
+  bool run();
+  void wake() {
+    if (done() || !run()) h_.resume();
+  }
+
+  Worker& w_;
+  const cpu::CostSpec* upper_pass_;
+  TimePs deadline_;
+  std::coroutine_handle<> h_;
+  std::uint64_t passes_ = 0;
+};
+
+inline Worker::IdleAwaiter Worker::idle(const cpu::CostSpec* upper_pass,
+                                        TimePs deadline) {
+  return IdleAwaiter(*this, upper_pass, deadline);
+}
 
 }  // namespace bb::llp

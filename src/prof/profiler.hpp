@@ -155,10 +155,13 @@ class Profiler {
     TimePs deferred_overhead;  // second half, charged at end()
   };
 
+  /// Whether begin(p) would open a measured region.
+  bool active(Point p) const { return enabled_ && selected_.contains(p); }
+
   /// Opens a region at `p`; inactive (no time consumed, no overhead
   /// sampled) unless the profiler is enabled and `p` is selected.
   Region begin(Point p) {
-    if (!enabled_ || !selected_.contains(p)) return Region{};
+    if (!active(p)) return Region{};
     return open(p);
   }
   /// Closes the region and records the compensated duration.

@@ -16,11 +16,14 @@
 #include <tuple>
 
 #include "benchlib/am_lat.hpp"
+#include "benchlib/osu.hpp"
 #include "benchlib/osu_coll.hpp"
 #include "benchlib/put_bw.hpp"
+#include "coll/communicator.hpp"
 #include "exec/sweep.hpp"
 #include "pcie/trace.hpp"
 #include "scenario/cluster.hpp"
+#include "scenario/mpi_stack.hpp"
 #include "scenario/testbed.hpp"
 
 namespace bb {
@@ -131,6 +134,140 @@ TEST(DeterminismGolden, LossyAllreduceIdenticalSerialVsParallel) {
   // The loss rate was live: this golden exercises the recovery machinery,
   // not an idle injector.
   EXPECT_GT(total_dropped, 0u);
+}
+
+// Blocking-wait goldens. Nearly every event of a blocking MPI or
+// collective wait is an empty progress pass, so these pin the exact
+// event count, end time, per-core CPU time and analyzer trace of the
+// wait loops in MpiComm and coll::Communicator, on the idle path and on
+// the profiled fallback. Their values were recorded while every empty
+// pass still ran as a full coroutine progress pass.
+
+// Blocking MPI ping-pong over scenario::MpiStack (osu_latency's loop).
+sim::Task<void> ping(scenario::MpiStack& s, int iters) {
+  for (int i = 0; i < iters; ++i) {
+    hlp::Request* rr = s.mpi().irecv(8).value();
+    (void)co_await s.mpi().isend(8);
+    EXPECT_EQ(co_await s.mpi().wait(rr), common::Status::kOk);
+  }
+}
+
+sim::Task<void> pong(scenario::MpiStack& s, int iters) {
+  for (int i = 0; i < iters; ++i) {
+    hlp::Request* rr = s.mpi().irecv(8).value();
+    EXPECT_EQ(co_await s.mpi().wait(rr), common::Status::kOk);
+    (void)co_await s.mpi().isend(8);
+  }
+  co_await s.node().core.flush();
+}
+
+// Runs the ping-pong; `profiled` selects ucp_worker_progress on both
+// nodes, so every pass of the wait loops is a measured region.
+void run_pingpong(scenario::Testbed& tb, bool profiled) {
+  scenario::MpiStack a(tb, 0);
+  scenario::MpiStack b(tb, 1);
+  tb.node(0).nic.post_receives(400);
+  tb.node(1).nic.post_receives(400);
+  for (int n = 0; n < 2; ++n) {
+    tb.node(n).profiler.set_enabled(profiled);
+    tb.node(n).profiler.select({prof::Point::kUcpWorkerProgress});
+  }
+  tb.analyzer().set_enabled(true);
+  tb.sim().spawn(ping(a, 300), "ping");
+  tb.sim().spawn(pong(b, 300), "pong");
+  tb.sim().run();
+}
+
+TEST(DeterminismGolden, MpiPingPongOnThunderx2Cx4) {
+  scenario::Testbed tb(scenario::presets::thunderx2_cx4());
+  run_pingpong(tb, /*profiled=*/false);
+  EXPECT_EQ(tb.sim().events_processed(), 57434u);
+  EXPECT_EQ(tb.sim().now().ps(), 872804911);
+  EXPECT_EQ(tb.node(0).core.busy_time().ps(), 872804911);
+  EXPECT_EQ(tb.node(1).core.busy_time().ps(), 871596094);
+  EXPECT_EQ(tb.analyzer().trace().size(), 1812u);
+  EXPECT_EQ(trace_checksum(tb.analyzer().trace()), 0x99b944e2a794e80full);
+}
+
+// The same ping-pong with ucp_worker_progress profiled: every pass runs
+// the full progress path (the Table 1 methodology).
+TEST(DeterminismGolden, ProfiledMpiPingPongOnThunderx2Cx4) {
+  scenario::Testbed tb(scenario::presets::thunderx2_cx4());
+  run_pingpong(tb, /*profiled=*/true);
+  EXPECT_EQ(tb.sim().events_processed(), 29838u);
+  EXPECT_EQ(tb.sim().now().ps(), 932936275);
+  EXPECT_EQ(tb.node(0).core.busy_time().ps(), 932936275);
+  EXPECT_EQ(tb.node(1).core.busy_time().ps(), 931600139);
+  EXPECT_EQ(tb.analyzer().trace().size(), 1812u);
+  EXPECT_EQ(trace_checksum(tb.analyzer().trace()), 0x3b1fe0942086b562ull);
+  const char* region = prof::name(prof::Point::kUcpWorkerProgress);
+  EXPECT_EQ(tb.node(0).profiler.samples(region).size(), 9201u);
+}
+
+// MpiComm::waitall over osu_mbw_mr-style windows of 64 sends.
+TEST(DeterminismGolden, MpiWaitallWindowsOnThunderx2Cx4) {
+  scenario::Testbed tb(scenario::presets::thunderx2_cx4());
+  bench::OsuMessageRate b(tb, {.windows = 20,
+                               .window_size = 64,
+                               .warmup_windows = 2,
+                               .capture_trace = true});
+  (void)b.run();
+  EXPECT_EQ(tb.sim().events_processed(), 25513u);
+  EXPECT_EQ(tb.sim().now().ps(), 370930172);
+  EXPECT_EQ(tb.node(0).core.busy_time().ps(), 370930172);
+  EXPECT_EQ(tb.node(1).core.busy_time().ps(), 0);
+  EXPECT_EQ(tb.analyzer().trace().size(), 4290u);
+  EXPECT_EQ(trace_checksum(tb.analyzer().trace()), 0x37c8fa8136be1f57ull);
+}
+
+// Lossy collective traffic, then waits no peer will ever satisfy: rank 0
+// blocks in Communicator::wait, rank 1 in Communicator::waitall, and both
+// watchdogs fire. Pins the simulated core time each kTimedOut return
+// lands on.
+sim::Task<void> exchange_then_hang(coll::Communicator& c, int rounds,
+                                   bool use_waitall, common::Status& out,
+                                   TimePs& at) {
+  const int peer = 1 - c.rank();
+  for (int i = 0; i < rounds; ++i) {
+    hlp::Request* rr = c.irecv(peer, 64);
+    (void)co_await c.isend(peer, 64);
+    EXPECT_EQ(co_await c.wait(rr), common::Status::kOk);
+    (void)c.take_data(peer);
+  }
+  if (use_waitall) {
+    std::vector<hlp::Request*> reqs = {c.irecv(peer, 8), c.irecv(peer, 8)};
+    out = co_await c.waitall(reqs);
+  } else {
+    out = co_await c.wait(c.irecv(peer, 8));
+  }
+  at = c.core().virtual_now();
+}
+
+TEST(DeterminismGolden, LossyCollWaitTimeoutOnThunderx2Cx4) {
+  coll::CollTuning t;
+  t.wait_timeout_us = 200.0;
+  scenario::Cluster cl(scenario::presets::thunderx2_cx4().with(
+                           scenario::overlays::wire_loss(5e-2),
+                           scenario::overlays::coll_tuning(t)),
+                       2);
+  cl.analyzer().set_enabled(true);
+  coll::World world(cl);
+  common::Status st0 = common::Status::kOk, st1 = common::Status::kOk;
+  TimePs at0, at1;
+  cl.sim().spawn(exchange_then_hang(world.comm(0), 100, false, st0, at0));
+  cl.sim().spawn(exchange_then_hang(world.comm(1), 100, true, st1, at1));
+  cl.sim().run();
+  EXPECT_EQ(st0, common::Status::kTimedOut);
+  EXPECT_EQ(st1, common::Status::kTimedOut);
+  EXPECT_GT(cl.net_stats().packets_dropped, 0u);
+  EXPECT_EQ(at0.ps(), 403692999);
+  EXPECT_EQ(at1.ps(), 404443679);
+  EXPECT_EQ(cl.sim().events_processed(), 26593u);
+  EXPECT_EQ(cl.sim().now().ps(), 404443679);
+  EXPECT_EQ(cl.node(0).core.busy_time().ps(), 403692999);
+  EXPECT_EQ(cl.node(1).core.busy_time().ps(), 404443679);
+  EXPECT_EQ(cl.analyzer().trace().size(), 603u);
+  EXPECT_EQ(trace_checksum(cl.analyzer().trace()), 0xb37c0127d6dfd3d3ull);
 }
 
 // Two runs with the same seed must agree event-for-event, independent of

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "llp/endpoint.hpp"
 #include "scenario/testbed.hpp"
 
@@ -92,6 +94,116 @@ TEST(Worker, MsgIdsAreUniqueAndMonotonic) {
   const auto a = w.alloc_msg_id();
   const auto b = w.alloc_msg_id();
   EXPECT_LT(a, b);
+}
+
+// -- Worker::idle: a blocking wait's empty passes as bare events --------
+
+sim::Task<void> idle_once(Worker& w, std::uint64_t& passes, TimePs& at,
+                          TimePs deadline = TimePs::max()) {
+  passes = co_await w.idle(nullptr, deadline);
+  at = w.core().virtual_now();
+}
+
+TEST(WorkerIdle, ReadyAtOnceWhenTheRxCqHoldsAnEntry) {
+  Testbed tb(scenario::presets::deterministic());
+  tb.add_endpoint(0);
+  tb.node(0).host.rx_cq().push(nic::Cqe{1, 1, 0, 0, 0_ns});
+  std::uint64_t passes = 99;
+  TimePs at;
+  tb.sim().set_event_limit(100);  // a wrong idle() spins forever
+  tb.sim().spawn(idle_once(tb.node(0).worker, passes, at));
+  tb.sim().run();
+  EXPECT_EQ(passes, 0u);
+  EXPECT_EQ(at, TimePs::zero());
+  EXPECT_EQ(tb.node(0).core.busy_time(), TimePs::zero());
+}
+
+TEST(WorkerIdle, ReadyAtOnceWhenAnyTxCqHoldsAnEntry) {
+  Testbed tb(scenario::presets::deterministic());
+  tb.add_endpoint(0);
+  auto& second = tb.add_endpoint(0);
+  tb.node(0).host.tx_cq(second.config().qp).push(nic::Cqe{1, 1, 0, 0, 0_ns});
+  std::uint64_t passes = 99;
+  TimePs at;
+  tb.sim().set_event_limit(100);  // a wrong idle() spins forever
+  tb.sim().spawn(idle_once(tb.node(0).worker, passes, at));
+  tb.sim().run();
+  EXPECT_EQ(passes, 0u);
+  EXPECT_EQ(tb.node(0).core.busy_time(), TimePs::zero());
+}
+
+TEST(WorkerIdle, ResumesOnTheFirstPassAfterACommit) {
+  Testbed tb(scenario::presets::deterministic());
+  tb.add_endpoint(0);
+  Testbed::Node& n = tb.node(0);
+  const TimePs pass = n.core.costs().llp_empty_progress.mean();
+  const TimePs commit = pass * 10 + pass / 2;
+  tb.sim().call_at(commit, [&n, commit] {
+    n.host.rx_cq().push(nic::Cqe{7, 1, 0, 0, commit});
+  });
+  std::uint64_t passes = 0;
+  TimePs at;
+  tb.sim().spawn(idle_once(n.worker, passes, at));
+  tb.sim().run();
+  EXPECT_EQ(passes, 11u);
+  EXPECT_EQ(at, pass * 11);
+  EXPECT_EQ(n.host.rx_cq().depth(), 1u);  // left for the real pass
+}
+
+TEST(WorkerIdle, StopsOncePastTheDeadline) {
+  Testbed tb(scenario::presets::deterministic());
+  tb.add_endpoint(0);
+  const TimePs pass = tb.node(0).core.costs().llp_empty_progress.mean();
+  std::uint64_t passes = 0;
+  TimePs at;
+  tb.sim().spawn(
+      idle_once(tb.node(0).worker, passes, at, pass * 5 + pass / 2));
+  tb.sim().run();
+  EXPECT_EQ(passes, 6u);
+  EXPECT_EQ(at, pass * 6);
+}
+
+TEST(WorkerIdle, RunsNoPassWhileAPassIsProfiled) {
+  Testbed tb(scenario::presets::deterministic());
+  tb.add_endpoint(0);
+  tb.node(0).profiler.select({prof::Point::kUctWorkerProgress});
+  std::uint64_t passes = 99;
+  TimePs at;
+  tb.sim().set_event_limit(100);  // a wrong idle() spins forever
+  tb.sim().spawn(idle_once(tb.node(0).worker, passes, at));
+  tb.sim().run();
+  EXPECT_EQ(passes, 0u);
+  EXPECT_EQ(tb.node(0).core.busy_time(), TimePs::zero());
+}
+
+// A UCP-style wait loop (upper-layer pass cost, then uct progress) with
+// and without idle(): same events, same times, same RNG draws.
+sim::Task<void> spin_until_completion(Testbed::Node& n, bool idle) {
+  const cpu::CostSpec& upper = n.core.costs().ucp_progress_iter;
+  for (;;) {
+    if (idle) co_await n.worker.idle(&upper);
+    n.core.consume(upper);
+    if (co_await n.worker.progress() > 0) break;
+  }
+}
+
+TEST(WorkerIdle, MatchesRealProgressPassesExactly) {
+  const auto run = [](bool idle) {
+    Testbed tb(scenario::presets::thunderx2_cx4());
+    tb.add_endpoint(0);
+    Testbed::Node& n = tb.node(0);
+    const TimePs commit = TimePs::from_ns(2345.6);
+    tb.sim().call_at(commit, [&n, commit] {
+      n.host.rx_cq().push(nic::Cqe{7, 1, 0, 0, commit});
+    });
+    tb.sim().spawn(spin_until_completion(n, idle));
+    tb.sim().run();
+    return std::tuple{tb.sim().events_processed(), tb.sim().now().ps(),
+                      n.core.busy_time().ps(), n.core.rng().next_u64()};
+  };
+  const auto real = run(false);
+  EXPECT_GT(std::get<0>(real), 10u);
+  EXPECT_EQ(run(true), real);
 }
 
 }  // namespace

@@ -35,7 +35,6 @@
 #include "core/models.hpp"
 #include "exec/sweep.hpp"
 #include "model/alpha_beta.hpp"
-#include "scenario/cluster.hpp"
 #include "scenario/testbed.hpp"
 #include "util.hpp"
 

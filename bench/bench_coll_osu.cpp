@@ -15,7 +15,7 @@
 #include "benchlib/osu_coll.hpp"
 #include "exec/sweep.hpp"
 #include "model/alpha_beta.hpp"
-#include "scenario/cluster.hpp"
+#include "scenario/testbed.hpp"
 #include "util.hpp"
 
 namespace {

@@ -18,7 +18,6 @@
 #include "benchlib/osu_coll.hpp"
 #include "benchlib/put_bw.hpp"
 #include "exec/exec.hpp"
-#include "scenario/cluster.hpp"
 #include "scenario/testbed.hpp"
 #include "sim/channel.hpp"
 #include "sim/simulator.hpp"

@@ -16,7 +16,6 @@
 #include "common/table.hpp"
 #include "exec/exec.hpp"
 #include "model/alpha_beta.hpp"
-#include "scenario/cluster.hpp"
 #include "scenario/testbed.hpp"
 
 namespace bbench {

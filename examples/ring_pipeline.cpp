@@ -11,7 +11,7 @@
 
 #include "benchlib/osu_coll.hpp"
 #include "model/alpha_beta.hpp"
-#include "scenario/cluster.hpp"
+#include "scenario/testbed.hpp"
 
 using namespace bb;
 

@@ -10,9 +10,11 @@
 // Components: pio, llp_post, llp_prog, hlp_post, hlp_rx_prog,
 // hlp_tx_prog, pcie, rc_to_mem, wire, switch, io, hlp, llp.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "core/whatif.hpp"
@@ -28,6 +30,19 @@ struct Component {
   bool in_injection;
   bool in_latency;
 };
+
+/// The reduction as a fraction, if the whole token is a finite number in
+/// (0, 100].
+std::optional<double> parse_reduction(const std::string& s) {
+  double pct = 0.0;
+  const char* end = s.data() + s.size();
+  const auto r = std::from_chars(s.data(), end, pct);
+  if (r.ec != std::errc() || r.ptr != end || !std::isfinite(pct) ||
+      pct <= 0.0 || pct > 100.0) {
+    return std::nullopt;
+  }
+  return pct / 100.0;
+}
 
 }  // namespace
 
@@ -54,11 +69,14 @@ int main(int argc, char** argv) {
   }
 
   const std::string name = argv[1];
-  const double reduction = std::atof(argv[2]) / 100.0;
-  if (reduction <= 0.0 || reduction > 1.0) {
-    std::fprintf(stderr, "reduction must be in (0, 100]\n");
+  const std::optional<double> parsed = parse_reduction(argv[2]);
+  if (!parsed) {
+    std::fprintf(stderr,
+                 "invalid reduction '%s' (want a number in (0, 100])\n",
+                 argv[2]);
     return 2;
   }
+  const double reduction = *parsed;
 
   const Component components[] = {
       {"pio", t.pio_copy, true, true},

@@ -4,25 +4,31 @@
 
 namespace bb::coll {
 
-Communicator::Communicator(World& world, scenario::Cluster& cl, int rank,
-                           std::uint32_t signal_period,
-                           std::uint32_t rndv_threshold)
+namespace {
+
+/// One CQE per this many sends (UCX's unsignalled-completion default).
+constexpr std::uint32_t kSignalPeriod = 64;
+/// Receive WQEs pre-posted per node (collectives keep the RQ fed the way
+/// MPI implementations do).
+constexpr std::uint32_t kPrepostedReceives = 1u << 16;
+
+}  // namespace
+
+Communicator::Communicator(World& world, scenario::Testbed& tb, int rank)
     : world_(world),
-      node_(cl.node(rank)),
+      node_(tb.node(rank)),
       rank_(rank),
-      size_(cl.node_count()),
+      size_(tb.node_count()),
       mux_(node_.worker) {
   ucp_.resize(static_cast<std::size_t>(size_));
   mpi_.resize(static_cast<std::size_t>(size_));
   for (int peer = 0; peer < size_; ++peer) {
     if (peer == rank_) continue;
-    llp::EndpointConfig ec = cl.config().endpoint;
-    ec.signal.period = signal_period;
-    llp::Endpoint& ep = cl.add_endpoint(rank_, peer, ec);
-    hlp::UcpConfig uc;
-    uc.rndv_threshold = rndv_threshold;
+    llp::EndpointConfig ec = tb.config().endpoint;
+    ec.signal.period = kSignalPeriod;
+    llp::Endpoint& ep = tb.add_endpoint(rank_, peer, ec);
+    hlp::UcpConfig uc;  // default rndv_threshold, as model::PtPtModel reads
     uc.src_rank = rank_;
-    uc.attach_rx = false;  // the mux owns the node's RX handler
     auto ucp = std::make_unique<hlp::UcpWorker>(node_.worker, ep, uc);
     mux_.attach(peer, ucp.get());
     mpi_[static_cast<std::size_t>(peer)] =
@@ -89,22 +95,13 @@ sim::Task<common::Status> Communicator::wait(hlp::Request* req) {
   // Same cost structure as the pt2pt MpiComm::wait; the progress engine
   // spans all peers.
   c.consume(c.costs().mpich_wait_fixed);
-  const TimePs deadline = watchdog_deadline();
-  while (!req->complete) {
-    if (c.virtual_now() > deadline) {
-      // Watchdog: diagnosable abort instead of a hang (the request stays
-      // incomplete; the transport underneath it is stuck or flushed).
-      co_await c.flush();
-      co_return common::Status::kTimedOut;
-    }
-    // Passes that can only poll run as bare events; after any, re-check
-    // the watchdog before the next real pass.
-    if (!has_pending_work() &&
-        co_await node_.worker.idle(&c.costs().ucp_progress_iter,
-                                   deadline) > 0) {
-      continue;
-    }
-    co_await progress();
+  const bool done = co_await hlp::progress_until(
+      *this, [req] { return req->complete; }, watchdog_deadline());
+  if (!done) {
+    // Watchdog: diagnosable abort instead of a hang (the request stays
+    // incomplete; the transport underneath it is stuck or flushed).
+    co_await c.flush();
+    co_return common::Status::kTimedOut;
   }
   c.consume(c.costs().mpich_after_progress);
   ++waits_;
@@ -118,43 +115,25 @@ sim::Task<common::Status> Communicator::waitall(
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     c.consume(c.costs().hlp_tx_prog);
   }
-  const TimePs deadline = watchdog_deadline();
-  for (;;) {
-    bool all = true;
-    for (hlp::Request* r : reqs) {
-      if (!r->complete) {
-        all = false;
-        break;
-      }
-    }
-    if (all) break;
-    if (c.virtual_now() > deadline) {
-      co_await c.flush();
-      co_return common::Status::kTimedOut;
-    }
-    if (!has_pending_work() &&
-        co_await node_.worker.idle(&c.costs().ucp_progress_iter,
-                                   deadline) > 0) {
-      continue;
-    }
-    co_await progress();
+  const bool done = co_await hlp::progress_until(
+      *this, [&reqs] { return hlp::all_complete(reqs); }, watchdog_deadline());
+  if (!done) {
+    co_await c.flush();
+    co_return common::Status::kTimedOut;
   }
   co_await c.flush();
-  for (hlp::Request* r : reqs) {
-    if (r->status != common::Status::kOk) co_return r->status;
-  }
-  co_return common::Status::kOk;
+  co_return hlp::first_error(reqs);
 }
 
-World::World(scenario::Cluster& cl, Config cfg) : cl_(cl) {
-  const int n = cl.node_count();
+World::World(scenario::Testbed& tb) : tb_(tb) {
+  const int n = tb.node_count();
   inbox_.resize(static_cast<std::size_t>(n));
   for (auto& row : inbox_) row.resize(static_cast<std::size_t>(n));
   comms_.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
-    cl.node(r).nic.post_receives(cfg.preposted_receives);
-    comms_.push_back(std::unique_ptr<Communicator>(new Communicator(
-        *this, cl, r, cfg.signal_period, cfg.rndv_threshold)));
+    tb.node(r).nic.post_receives(kPrepostedReceives);
+    comms_.push_back(
+        std::unique_ptr<Communicator>(new Communicator(*this, tb, r)));
   }
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 // The multi-peer communicator bb::coll schedules run over.
 //
-// A Cluster gives every rank one node (core, host memory, PCIe, NIC) and
+// The machine gives every rank one node (core, host memory, PCIe, NIC) and
 // one LLP worker; the pt2pt stack above it (UcpWorker -> MpiComm) models
 // protocol state toward exactly one peer. A Communicator therefore owns
 // one full per-peer stack per remote rank, all demultiplexed over the
@@ -24,7 +24,7 @@
 
 #include "hlp/mpi.hpp"
 #include "hlp/mux.hpp"
-#include "scenario/cluster.hpp"
+#include "scenario/testbed.hpp"
 
 namespace bb::coll {
 
@@ -56,21 +56,22 @@ class Communicator {
 
   /// One progress pass over every peer stack.
   sim::Task<std::uint32_t> progress();
+  /// Whether any peer stack has queued work (busy-post retries,
+  /// rendezvous control or data) for the next progress pass.
+  bool has_pending_work() const;
+  /// The node's LLP worker, shared by every peer stack.
+  llp::Worker& uct_worker() { return node_.worker; }
 
   std::uint64_t isends() const { return isends_; }
   std::uint64_t waits() const { return waits_; }
 
  private:
   friend class World;
-  Communicator(World& world, scenario::Cluster& cl, int rank,
-               std::uint32_t signal_period, std::uint32_t rndv_threshold);
+  Communicator(World& world, scenario::Testbed& tb, int rank);
 
   /// Core time past which a blocking wait gives up (wait_timeout_us from
   /// now; never when the watchdog is off).
   TimePs watchdog_deadline();
-  /// Whether any peer stack has queued work (busy-post retries,
-  /// rendezvous control or data) for the next progress pass.
-  bool has_pending_work() const;
 
   World& world_;
   scenario::Testbed::Node& node_;
@@ -84,26 +85,15 @@ class Communicator {
   std::uint64_t waits_ = 0;
 };
 
-/// All ranks of one job: builds a Communicator per cluster node and the
+/// All ranks of one job: builds a Communicator per machine node and the
 /// mailbox fabric between them.
 class World {
  public:
-  struct Config {
-    /// One CQE per `signal_period` sends (UCX default 64).
-    std::uint32_t signal_period = 64;
-    /// UCP eager->rendezvous crossover.
-    std::uint32_t rndv_threshold = 1024;
-    /// Receive WQEs pre-posted per node (collectives keep the RQ fed the
-    /// way MPI implementations do).
-    std::uint32_t preposted_receives = 1u << 16;
-  };
-
-  World(scenario::Cluster& cl, Config cfg);
-  explicit World(scenario::Cluster& cl) : World(cl, Config{}) {}
+  explicit World(scenario::Testbed& tb);
 
   int size() const { return static_cast<int>(comms_.size()); }
   Communicator& comm(int rank) { return *comms_[static_cast<std::size_t>(rank)]; }
-  scenario::Cluster& cluster() { return cl_; }
+  scenario::Testbed& cluster() { return tb_; }
 
  private:
   friend class Communicator;
@@ -113,7 +103,7 @@ class World {
   }
   std::vector<double> take(int dst, int src);
 
-  scenario::Cluster& cl_;
+  scenario::Testbed& tb_;
   std::vector<std::unique_ptr<Communicator>> comms_;
   // inbox_[dst][src]: payloads in flight or awaiting consumption.
   std::vector<std::vector<std::deque<std::vector<double>>>> inbox_;

@@ -172,6 +172,7 @@ struct FaultStats {
   }
 
   void merge(const FaultStats& o);
+  bool operator==(const FaultStats&) const = default;
   /// Two-column table for reports (bb::prof attaches this to its output).
   std::string render(const std::string& title = "Fault stats") const;
 };

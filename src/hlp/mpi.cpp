@@ -52,13 +52,7 @@ sim::Task<common::Status> MpiComm::wait(Request* req) {
   c.consume(c.costs().mpich_wait_fixed);
 
   // The progress engine: loop on ucp_worker_progress until complete.
-  // Passes that can only poll run as bare events (llp::Worker::idle).
-  while (!req->complete) {
-    if (!ucp_.has_pending_work()) {
-      co_await ucp_.uct_worker().idle(&c.costs().ucp_progress_iter);
-    }
-    co_await ucp_.progress();
-  }
+  co_await progress_until(ucp_, [req] { return req->complete; });
 
   // MPICH work after the successful ucp_worker_progress returns.
   prof::Profiler::Region r_after;
@@ -79,25 +73,9 @@ sim::Task<common::Status> MpiComm::waitall(const std::vector<Request*>& reqs) {
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     c.consume(c.costs().hlp_tx_prog);
   }
-  for (;;) {
-    bool all = true;
-    for (Request* r : reqs) {
-      if (!r->complete) {
-        all = false;
-        break;
-      }
-    }
-    if (all) break;
-    if (!ucp_.has_pending_work()) {
-      co_await ucp_.uct_worker().idle(&c.costs().ucp_progress_iter);
-    }
-    co_await ucp_.progress();
-  }
+  co_await progress_until(ucp_, [&reqs] { return all_complete(reqs); });
   co_await c.flush();
-  for (Request* r : reqs) {
-    if (r->status != common::Status::kOk) co_return r->status;
-  }
-  co_return common::Status::kOk;
+  co_return first_error(reqs);
 }
 
 }  // namespace bb::hlp

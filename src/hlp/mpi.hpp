@@ -18,6 +18,29 @@
 
 namespace bb::hlp {
 
+/// The blocking progress loop under every MPI-style wait: passes over
+/// `engine` (one UcpWorker, or a multi-peer coll::Communicator) until
+/// `done()`. Each pass checks the watchdog, then either runs the passes
+/// that can only poll as bare events (llp::Worker::idle) when the engine
+/// has no queued work, or one real progress pass. Returns false once core
+/// time passes `deadline` with `done()` still false. Callers charge their
+/// own entry and exit costs around it.
+template <typename Engine, typename Done>
+sim::Task<bool> progress_until(Engine& engine, Done done,
+                               TimePs deadline = TimePs::max()) {
+  cpu::Core& c = engine.core();
+  while (!done()) {
+    if (c.virtual_now() > deadline) co_return false;
+    if (!engine.has_pending_work() &&
+        co_await engine.uct_worker().idle(&c.costs().ucp_progress_iter,
+                                          deadline) > 0) {
+      continue;
+    }
+    co_await engine.progress();
+  }
+  co_return true;
+}
+
 class MpiComm {
  public:
   explicit MpiComm(UcpWorker& ucp);

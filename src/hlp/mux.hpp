@@ -3,7 +3,8 @@
 //
 // One llp::Worker per node owns the RX CQ, but a UcpWorker models the
 // protocol state toward exactly one peer. The mux claims the worker's RX
-// handler and routes each completion to the UcpWorker registered for the
+// handler (from each UcpWorker, which claims it on construction) and
+// routes each completion to the UcpWorker registered for the
 // source rank stamped in the message header (UcpConfig::src_rank on the
 // sending side). This is how a real UCP worker fans one CQ out over many
 // connected endpoints' matching state.
@@ -17,16 +18,16 @@ namespace bb::hlp {
 
 class RxMux {
  public:
-  explicit RxMux(llp::Worker& worker) {
-    worker.set_rx_handler([this](const nic::Cqe& cqe) { route(cqe); });
-  }
+  explicit RxMux(llp::Worker& worker) : worker_(worker) {}
   RxMux(const RxMux&) = delete;
   RxMux& operator=(const RxMux&) = delete;
 
-  /// Routes messages whose header carries `src_rank` to `ucp`. Every
-  /// sender into this node must be tagged (UcpConfig::src_rank >= 0).
+  /// Routes messages whose header carries `src_rank` to `ucp`, and takes
+  /// the RX handler back from it. Every sender into this node must be
+  /// tagged (UcpConfig::src_rank >= 0).
   void attach(int src_rank, UcpWorker* ucp) {
     BB_ASSERT(src_rank >= 0 && ucp != nullptr);
+    worker_.set_rx_handler([this](const nic::Cqe& cqe) { route(cqe); });
     if (routes_.size() <= static_cast<std::size_t>(src_rank)) {
       routes_.resize(static_cast<std::size_t>(src_rank) + 1, nullptr);
     }
@@ -43,6 +44,7 @@ class RxMux {
     routes_[static_cast<std::size_t>(src)]->deliver(cqe);
   }
 
+  llp::Worker& worker_;
   std::vector<UcpWorker*> routes_;
 };
 

@@ -2,6 +2,7 @@
 // Communication requests of the high-level protocol layers.
 
 #include <cstdint>
+#include <vector>
 
 #include "common/status.hpp"
 
@@ -23,5 +24,20 @@ struct Request {
   /// Identity for debugging/tests.
   std::uint64_t seq = 0;
 };
+
+inline bool all_complete(const std::vector<Request*>& reqs) {
+  for (const Request* r : reqs) {
+    if (!r->complete) return false;
+  }
+  return true;
+}
+
+/// The first non-OK status in window order, or kOk.
+inline common::Status first_error(const std::vector<Request*>& reqs) {
+  for (const Request* r : reqs) {
+    if (r->status != common::Status::kOk) return r->status;
+  }
+  return common::Status::kOk;
+}
 
 }  // namespace bb::hlp

@@ -7,10 +7,8 @@ namespace bb::hlp {
 UcpWorker::UcpWorker(llp::Worker& uct_worker, llp::Endpoint& endpoint,
                      UcpConfig cfg)
     : uct_worker_(uct_worker), endpoint_(endpoint), cfg_(cfg) {
-  if (cfg_.attach_rx) {
-    uct_worker_.set_rx_handler(
-        [this](const nic::Cqe& cqe) { on_rx_completion(cqe); });
-  }
+  uct_worker_.set_rx_handler(
+      [this](const nic::Cqe& cqe) { on_rx_completion(cqe); });
 }
 
 Request* UcpWorker::new_request(Request::Kind kind, std::uint32_t bytes) {

@@ -38,9 +38,6 @@ struct UcpConfig {
   /// receiving node with several peers can demultiplex (RxMux). -1 keeps
   /// the legacy two-node wire format: eager messages carry user_data 0.
   int src_rank = -1;
-  /// When false the worker does not claim the LLP worker's RX handler;
-  /// an RxMux owns it instead and routes by source rank.
-  bool attach_rx = true;
 };
 
 class UcpWorker {

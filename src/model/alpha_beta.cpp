@@ -4,12 +4,16 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "hlp/ucp.hpp"
 
 namespace bb::model {
 
-PtPtModel::PtPtModel(const scenario::SystemConfig& cfg,
-                     std::uint32_t rndv_threshold)
-    : cfg_(cfg), rndv_(rndv_threshold) {}
+namespace {
+
+/// UCP's eager->rendezvous crossover, the one coll::World's stacks use.
+constexpr std::uint32_t kRndv = hlp::UcpConfig{}.rndv_threshold;
+
+}  // namespace
 
 bool PtPtModel::inlined(std::uint32_t m) const {
   return cfg_.endpoint.inline_payload && m <= cfg_.endpoint.max_inline_bytes;
@@ -37,7 +41,7 @@ double PtPtModel::osend_ns(std::uint32_t m) const {
   const cpu::CpuCostModel& c = cfg_.cpu;
   // Rendezvous initiation posts only the 8-byte RTS; the payload moves
   // later, off the initiation path.
-  const std::uint32_t posted = m >= rndv_ ? 8 : m;
+  const std::uint32_t posted = m >= kRndv ? 8 : m;
   return c.mpich_isend.mean_ns + c.ucp_isend.mean_ns + llp_post_ns(posted);
 }
 
@@ -70,7 +74,7 @@ double PtPtModel::eager_transit_ns(std::uint32_t m) const {
 }
 
 double PtPtModel::transit_ns(std::uint32_t m) const {
-  if (m < rndv_) return eager_transit_ns(m);
+  if (m < kRndv) return eager_transit_ns(m);
   const pcie::LinkParams& l = cfg_.link;
   const pcie::RcParams& rc = cfg_.rc;
   const nic::NicParams& n = cfg_.nic;
@@ -82,8 +86,8 @@ double PtPtModel::transit_ns(std::uint32_t m) const {
              eager_transit_ns(8) + c.llp_prog.mean_ns +
              c.ucp_progress_iter.mean_ns + poll_gap_ns();
   // The data put: descriptor-only post, payload DMA fetch, inject, commit.
-  t += llp_post_ns(m >= rndv_ ? rndv_ : m);  // descriptor-only (never inline)
-  t += l.tlp_latency(pio_chunks(rndv_) * 64).to_ns() + l.tlp_latency(0).to_ns() +
+  t += llp_post_ns(m >= kRndv ? kRndv : m);  // descriptor-only (never inline)
+  t += l.tlp_latency(pio_chunks(kRndv) * 64).to_ns() + l.tlp_latency(0).to_ns() +
        rc.mem_read_ns + l.tlp_latency(m).to_ns();
   t += n.tx_proc_ns + cfg_.net.network_latency().to_ns() + n.rx_proc_ns +
        l.tlp_latency(m).to_ns();

@@ -28,9 +28,9 @@ namespace bb::model {
 /// Piecewise one-way pt2pt timing decomposition.
 class PtPtModel {
  public:
-  /// `rndv_threshold` must match the World the model is compared against.
-  explicit PtPtModel(const scenario::SystemConfig& cfg,
-                     std::uint32_t rndv_threshold = 1024);
+  /// Protocol regimes switch at UCP's default rendezvous threshold, the
+  /// one coll::World's stacks use.
+  explicit PtPtModel(const scenario::SystemConfig& cfg) : cfg_(cfg) {}
 
   /// Sender CPU until MPI_Isend returns (alpha_s of the alpha-beta view).
   double osend_ns(std::uint32_t m) const;
@@ -46,7 +46,6 @@ class PtPtModel {
   /// Full one-way message time as an e2e latency bench would see it.
   double msg_ns(std::uint32_t m) const;
 
-  std::uint32_t rndv_threshold() const { return rndv_; }
   const scenario::SystemConfig& config() const { return cfg_; }
 
   /// LLP_post CPU time for an m-byte payload on this config (PIO chunk
@@ -62,15 +61,13 @@ class PtPtModel {
   double eager_transit_ns(std::uint32_t m) const;
 
   scenario::SystemConfig cfg_;
-  std::uint32_t rndv_;
 };
 
 /// Analytical time for each bb::coll schedule on n ranks.
 class CollModel {
  public:
-  explicit CollModel(const scenario::SystemConfig& cfg,
-                     std::uint32_t rndv_threshold = 1024)
-      : p_(cfg, rndv_threshold), t_(cfg.coll) {}
+  explicit CollModel(const scenario::SystemConfig& cfg)
+      : p_(cfg), t_(cfg.coll) {}
 
   const PtPtModel& ptpt() const { return p_; }
 

@@ -1,55 +1,5 @@
 #pragma once
-// An N-node cluster: the two-node testbed of §3 generalized for
-// multi-rank workloads (ring exchanges, neighbour stencils). Every node
-// gets the full per-node hardware (core, host memory, PCIe link + RC,
-// NIC); the fabric routes by destination. The analyzer taps one node's
-// link (node 0 unless the constructor places it elsewhere).
-
-#include <deque>
-#include <memory>
-#include <optional>
-#include <vector>
+// scenario::Cluster is scenario::Testbed: one machine class at any node
+// count (see testbed.hpp). This header keeps the N-node include valid.
 
 #include "scenario/testbed.hpp"
-
-namespace bb::scenario {
-
-class Cluster {
- public:
-  using Node = Testbed::Node;
-
-  /// `analyzer_node` places the passive PCIe tap: any node's link may be
-  /// observed, not just the initiator's (the paper moves the analyzer to
-  /// whichever side the experiment studies).
-  Cluster(SystemConfig cfg, int node_count, int analyzer_node = 0);
-
-  sim::Simulator& sim() { return sim_; }
-  const SystemConfig& config() const { return cfg_; }
-  int node_count() const { return static_cast<int>(nodes_.size()); }
-  Node& node(int i);
-  pcie::Analyzer& analyzer() { return analyzer_; }
-  int analyzer_node() const { return analyzer_node_; }
-
-  /// An endpoint on `node_id` targeting `peer_node`, on a fresh QP.
-  llp::Endpoint& add_endpoint(int node_id, int peer_node,
-                              std::optional<llp::EndpointConfig> cfg = {});
-
-  /// Merged reliable-transport accounting: fabric wire fates + every
-  /// node's RC protocol activity (docs/TRANSPORT.md).
-  net::TransportStats net_stats() const;
-  std::string net_report() const;
-
- private:
-  SystemConfig cfg_;
-  sim::Simulator sim_;
-  /// Must precede `fabric_`, which captures it at construction.
-  fault::WireInjector wire_injector_;
-  net::Fabric fabric_;
-  pcie::Analyzer analyzer_;
-  int analyzer_node_ = 0;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::deque<llp::Endpoint> endpoints_;
-  std::uint32_t next_qp_ = 1;
-};
-
-}  // namespace bb::scenario

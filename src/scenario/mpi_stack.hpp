@@ -22,8 +22,8 @@ class MpiStack {
         ucp_(std::make_unique<hlp::UcpWorker>(node_.worker, endpoint_)),
         mpi_(std::make_unique<hlp::MpiComm>(*ucp_)) {}
 
-  /// Builds the stack over an existing node + endpoint (e.g. a Cluster
-  /// rank whose endpoint targets a specific peer).
+  /// Builds the stack over an existing node + endpoint (e.g. one rank of
+  /// an N-node machine whose endpoint targets a specific peer).
   MpiStack(Testbed::Node& node, llp::Endpoint& endpoint)
       : node_(node),
         endpoint_(endpoint),

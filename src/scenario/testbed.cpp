@@ -6,12 +6,12 @@ namespace bb::scenario {
 
 Testbed::Node::Node(sim::Simulator& sim, net::Fabric& fabric,
                     const SystemConfig& cfg, int id, pcie::Analyzer* tap)
-    : core(sim, cfg.cpu, id == 0 ? "core0" : "core1"),
+    : core(sim, cfg.cpu, "core" + std::to_string(id)),
       profiler(core),
       host(),
       // Each node gets a private fault stream derived from the system
-      // seed and the node id, so two-node runs stay deterministic and the
-      // nodes' fault sequences are decorrelated.
+      // seed and the node id, so runs stay deterministic and the nodes'
+      // fault sequences are decorrelated.
       injector(cfg.fault, cfg.seed + 0x9E3779B9u * (id + 1u)),
       link(sim, cfg.link, tap, cfg.fault.link_enabled() ? &injector : nullptr),
       rc(sim, link, cfg.rc),
@@ -33,26 +33,31 @@ Testbed::Node::Node(sim::Simulator& sim, net::Fabric& fabric,
   });
 }
 
-Testbed::Testbed(SystemConfig cfg)
+Testbed::Testbed(SystemConfig cfg, int node_count, int analyzer_node)
     : cfg_(std::move(cfg)),
       sim_(cfg_.seed),
       // The wire fault stream is a pure labelled fork of the system seed,
       // so loss patterns are bit-identical serial vs `exec --jobs N`.
       wire_injector_(cfg_.fault.wire, derive_seed(cfg_.seed, 0x57B1FAB5ull)),
-      fabric_(sim_, cfg_.net, /*node_count=*/2,
-              cfg_.fault.wire.enabled() ? &wire_injector_ : nullptr) {
-  nodes_[0] = std::make_unique<Node>(sim_, fabric_, cfg_, 0, &analyzer_);
-  nodes_[1] = std::make_unique<Node>(sim_, fabric_, cfg_, 1, nullptr);
+      fabric_(sim_, cfg_.net, node_count,
+              cfg_.fault.wire.enabled() ? &wire_injector_ : nullptr),
+      analyzer_node_(analyzer_node) {
+  BB_ASSERT(node_count >= 2);
+  BB_ASSERT(analyzer_node >= 0 && analyzer_node < node_count);
+  for (int i = 0; i < node_count; ++i) {
+    nodes_.emplace_back(sim_, fabric_, cfg_, i,
+                        i == analyzer_node ? &analyzer_ : nullptr);
+  }
 }
 
 Testbed::Node& Testbed::node(int i) {
-  BB_ASSERT(i == 0 || i == 1);
-  return *nodes_[i];
+  BB_ASSERT(i >= 0 && i < node_count());
+  return nodes_[static_cast<std::size_t>(i)];
 }
 
 fault::FaultStats Testbed::fault_stats() const {
-  fault::FaultStats merged = nodes_[0]->injector.stats();
-  merged.merge(nodes_[1]->injector.stats());
+  fault::FaultStats merged;
+  for (const Node& n : nodes_) merged.merge(n.injector.stats());
   return merged;
 }
 
@@ -62,7 +67,7 @@ std::string Testbed::fault_report() const {
 
 void Testbed::publish_fault_counters() {
   const fault::FaultStats s = fault_stats();
-  prof::Profiler& p = nodes_[0]->profiler;
+  prof::Profiler& p = nodes_[0].profiler;
   p.note_count("fault.tlps_corrupted", s.tlps_corrupted);
   p.note_count("fault.tlps_dropped", s.tlps_dropped);
   p.note_count("fault.acks_dropped", s.acks_dropped);
@@ -81,8 +86,7 @@ void Testbed::publish_fault_counters() {
 
 net::TransportStats Testbed::net_stats() const {
   net::TransportStats merged = fabric_.stats();
-  merged.merge(nodes_[0]->nic.transport_stats());
-  merged.merge(nodes_[1]->nic.transport_stats());
+  for (const Node& n : nodes_) merged.merge(n.nic.transport_stats());
   return merged;
 }
 
@@ -92,7 +96,7 @@ std::string Testbed::net_report() const {
 
 void Testbed::publish_net_counters() {
   const net::TransportStats s = net_stats();
-  prof::Profiler& p = nodes_[0]->profiler;
+  prof::Profiler& p = nodes_[0].profiler;
   p.note_count("net.packets_sent", s.packets_sent);
   p.note_count("net.packets_delivered", s.packets_delivered);
   p.note_count("net.packets_dropped", s.packets_dropped);
@@ -118,6 +122,18 @@ llp::Endpoint& Testbed::add_endpoint(int node_id,
   Node& n = node(node_id);
   endpoints_.emplace_back(n.worker, n.rc, cfg.value_or(cfg_.endpoint),
                           &n.nic);
+  return endpoints_.back();
+}
+
+llp::Endpoint& Testbed::add_endpoint(int node_id, int peer_node,
+                                     std::optional<llp::EndpointConfig> cfg) {
+  BB_ASSERT(peer_node >= 0 && peer_node < node_count() &&
+            peer_node != node_id);
+  llp::EndpointConfig c = cfg.value_or(cfg_.endpoint);
+  c.qp = next_qp_++;
+  c.peer_node = peer_node;
+  Node& n = node(node_id);
+  endpoints_.emplace_back(n.worker, n.rc, c, &n.nic);
   return endpoints_.back();
 }
 

@@ -1,11 +1,13 @@
 #pragma once
-// The two-node testbed of §3 (Fig. 3): node 0 (the initiator) and node 1,
-// each with a CPU core, host memory, a PCIe link + Root Complex, and a
-// NIC; the NICs are connected by the interconnect fabric; a passive PCIe
-// analyzer taps node 0's link just before its NIC.
+// The machine: the two-node testbed of §3 (Fig. 3) by default -- node 0
+// (the initiator) and node 1 -- or any number of identical nodes for
+// multi-rank workloads. Each node has a CPU core, host memory, a PCIe
+// link + Root Complex, and a NIC; the NICs are connected by the
+// interconnect fabric, which routes by destination; a passive PCIe
+// analyzer taps one node's link just before its NIC (node 0 unless the
+// constructor places it elsewhere).
 
 #include <deque>
-#include <memory>
 #include <optional>
 
 #include "cpu/core.hpp"
@@ -46,16 +48,22 @@ class Testbed {
     sim::Signal cq_interrupt;
   };
 
-  explicit Testbed(SystemConfig cfg);
+  /// `analyzer_node` places the passive PCIe tap: any node's link may be
+  /// observed, not just the initiator's (the paper moves the analyzer to
+  /// whichever side the experiment studies).
+  explicit Testbed(SystemConfig cfg, int node_count = 2,
+                   int analyzer_node = 0);
 
   sim::Simulator& sim() { return sim_; }
   const SystemConfig& config() const { return cfg_; }
   net::Fabric& fabric() { return fabric_; }
-  /// The analyzer tapping node 0's link (§3: "just before the NIC").
+  /// The analyzer tapping one node's link (§3: "just before the NIC").
   pcie::Analyzer& analyzer() { return analyzer_; }
+  int analyzer_node() const { return analyzer_node_; }
+  int node_count() const { return static_cast<int>(nodes_.size()); }
   Node& node(int i);
 
-  /// Merged fault/recovery accounting across both nodes' injectors.
+  /// Merged fault/recovery accounting across every node's injector.
   fault::FaultStats fault_stats() const;
   /// Rendered fault report (empty table when injection is disabled).
   std::string fault_report() const;
@@ -64,7 +72,7 @@ class Testbed {
   void publish_fault_counters();
 
   /// Merged reliable-transport accounting: the fabric's wire-side packet
-  /// fates plus both NICs' RC protocol activity (docs/TRANSPORT.md).
+  /// fates plus every NIC's RC protocol activity (docs/TRANSPORT.md).
   net::TransportStats net_stats() const;
   std::string net_report() const;
   /// Exports the merged transport stats as `net.*` counters on node 0's
@@ -74,6 +82,9 @@ class Testbed {
   /// Creates an endpoint on `node_id` targeting the peer, using the config
   /// template (optionally overridden). Returned reference is stable.
   llp::Endpoint& add_endpoint(int node_id,
+                              std::optional<llp::EndpointConfig> cfg = {});
+  /// An endpoint on `node_id` targeting `peer_node`, on a fresh QP.
+  llp::Endpoint& add_endpoint(int node_id, int peer_node,
                               std::optional<llp::EndpointConfig> cfg = {});
 
   /// An additional CPU core with its own LLP worker on `node_id` -- the
@@ -102,10 +113,14 @@ class Testbed {
   fault::WireInjector wire_injector_;
   net::Fabric fabric_;
   pcie::Analyzer analyzer_;
-  std::unique_ptr<Node> nodes_[2];
+  int analyzer_node_;
+  std::deque<Node> nodes_;
   std::deque<llp::Endpoint> endpoints_;
   std::deque<WorkerCore> extra_cores_;
-  std::uint32_t next_qp_ = 100;  // qp ids for add_core-created endpoints
+  std::uint32_t next_qp_ = 1;  // fresh qp ids (template endpoints use qp 0)
 };
+
+/// The N-node spelling of the same machine.
+using Cluster = Testbed;
 
 }  // namespace bb::scenario

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "coll/coll.hpp"
-#include "scenario/cluster.hpp"
+#include "scenario/testbed.hpp"
 
 namespace bb::coll {
 namespace {

@@ -5,7 +5,7 @@
 #include <random>
 
 #include "benchlib/osu_coll.hpp"
-#include "scenario/cluster.hpp"
+#include "scenario/testbed.hpp"
 
 namespace bb::model {
 namespace {

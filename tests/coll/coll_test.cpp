@@ -5,7 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "scenario/cluster.hpp"
+#include "scenario/testbed.hpp"
 
 namespace bb::coll {
 namespace {

@@ -16,7 +16,6 @@
 #include "benchlib/put_bw.hpp"
 #include "exec/sweep.hpp"
 #include "pcie/trace.hpp"
-#include "scenario/cluster.hpp"
 #include "scenario/testbed.hpp"
 
 namespace bb {

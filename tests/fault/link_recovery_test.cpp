@@ -138,8 +138,6 @@ TEST(LinkRecovery, DroppedUpdateFcIsReemittedAfterTimeout) {
   Dllp fc;
   fc.type = DllpType::kUpdateFC;
   fc.credit_class = CreditClass::kPosted;
-  fc.header_credits = 1;
-  fc.cumulative = true;
   fc.header_total = 1;
   rig.link.send_dllp_downstream(fc);
   rig.sim.run();

@@ -22,7 +22,6 @@
 #include "coll/communicator.hpp"
 #include "exec/sweep.hpp"
 #include "pcie/trace.hpp"
-#include "scenario/cluster.hpp"
 #include "scenario/mpi_stack.hpp"
 #include "scenario/testbed.hpp"
 

@@ -61,18 +61,20 @@ TEST(Credit, ReplenishRestoresAndRespectsBudget) {
   const Tlp t = mwr(64);
   s.consume(t);
   EXPECT_EQ(s.outstanding_headers(CreditClass::kPosted), 1);
-  s.replenish(CreditState::release_for(t));
+  CreditLedger ledger;
+  s.replenish(ledger.release_for(t));
   EXPECT_EQ(s.outstanding_headers(CreditClass::kPosted), 0);
   EXPECT_TRUE(s.can_send(t));
 }
 
 TEST(Credit, ReleaseForMatchesConsumption) {
   const Tlp t = mwr(40);
-  const Dllp d = CreditState::release_for(t);
+  CreditLedger ledger;
+  const Dllp d = ledger.release_for(t);
   EXPECT_EQ(d.type, DllpType::kUpdateFC);
   EXPECT_EQ(d.credit_class, CreditClass::kPosted);
-  EXPECT_EQ(d.header_credits, 1u);
-  EXPECT_EQ(d.data_credits, data_credit_units(t));
+  EXPECT_EQ(d.header_total, 1u);
+  EXPECT_EQ(d.data_total, data_credit_units(t));
 }
 
 TEST(Credit, DefaultEndpointNeverExhaustedBySingleCoreBurst) {

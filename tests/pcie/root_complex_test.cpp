@@ -105,8 +105,8 @@ TEST(RootComplex, ReturnsCreditsForProcessedUpstreamTlps) {
   f.sim.run();
   ASSERT_EQ(at_b.size(), 1u);
   EXPECT_EQ(at_b[0].credit_class, CreditClass::kPosted);
-  EXPECT_EQ(at_b[0].header_credits, 1u);
-  EXPECT_EQ(at_b[0].data_credits, 4u);
+  EXPECT_EQ(at_b[0].header_total, 1u);
+  EXPECT_EQ(at_b[0].data_total, 4u);
 }
 
 TEST(RootComplex, StallsWhenCreditsExhaustedAndResumesOnUpdateFC) {
@@ -132,8 +132,8 @@ TEST(RootComplex, StallsWhenCreditsExhaustedAndResumesOnUpdateFC) {
     Dllp fc;
     fc.type = DllpType::kUpdateFC;
     fc.credit_class = CreditClass::kPosted;
-    fc.header_credits = 1;
-    fc.data_credits = 4;
+    fc.header_total = 1;
+    fc.data_total = 4;
     link.send_dllp_upstream(fc);
   });
   sim.run();

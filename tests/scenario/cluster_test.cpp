@@ -1,8 +1,11 @@
-#include "scenario/cluster.hpp"
-
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "coll/coll.hpp"
 #include "scenario/mpi_stack.hpp"
+#include "scenario/testbed.hpp"
 
 namespace bb::scenario {
 namespace {
@@ -12,6 +15,54 @@ TEST(Cluster, ConstructsNNodes) {
   EXPECT_EQ(cl.node_count(), 4);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(cl.node(i).nic.node_id(), i);
+  }
+}
+
+TEST(Cluster, NodesAreNamedByIndex) {
+  Cluster cl(presets::deterministic(), 4);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(cl.node(i).core.name(), "core" + std::to_string(i));
+  }
+}
+
+TEST(Cluster, FourRankAllreduceAccountsFaultsOnEveryNode) {
+  // A PCIe BER that link replay fully recovers (2% corruption never
+  // exhausts the 4-replay budget here), under a 4-rank 8 KiB allreduce.
+  constexpr int kRanks = 4;
+  constexpr std::uint32_t kElems = 1024;
+  Cluster cl(presets::deterministic().with(overlays::faults(0.02)), kRanks);
+  coll::World world(cl);
+  std::vector<std::vector<double>> got(kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    cl.sim().spawn([](coll::Communicator& c,
+                      std::vector<double>& out) -> sim::Task<void> {
+      std::vector<double> v(kElems, static_cast<double>(c.rank() + 1));
+      co_await coll::allreduce(c, kElems * 8, v, coll::ReduceOp::kSum);
+      out = std::move(v);
+    }(world.comm(r), got[static_cast<std::size_t>(r)]));
+  }
+  cl.sim().run();
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(got[static_cast<std::size_t>(r)],
+              std::vector<double>(kElems, 1.0 + 2.0 + 3.0 + 4.0))
+        << "rank " << r;
+  }
+
+  // The machine's fault accounting covers every node, not just 0 and 1.
+  fault::FaultStats sum;
+  for (int i = 0; i < kRanks; ++i) sum.merge(cl.node(i).injector.stats());
+  EXPECT_EQ(cl.fault_stats(), sum);
+  EXPECT_GT(cl.node(2).injector.stats().injected(), 0u);
+  EXPECT_GT(cl.node(3).injector.stats().injected(), 0u);
+  EXPECT_GT(sum.replays, 0u);
+  EXPECT_EQ(sum.poisoned_tlps, 0u);
+
+  const net::TransportStats s = cl.net_stats();
+  EXPECT_EQ(s.packets_sent + s.packets_duplicated,
+            s.packets_delivered + s.packets_dropped + s.packets_corrupted);
+  for (int i = 0; i < kRanks; ++i) {
+    EXPECT_EQ(cl.node(i).nic.tx_unacked(), 0u) << "node " << i;
+    EXPECT_EQ(cl.node(i).link.replay_buffer_depth(), 0u) << "node " << i;
   }
 }
 

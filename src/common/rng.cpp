@@ -73,12 +73,23 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
+Rng::LognormalParams Rng::lognormal_params(double mean, double stddev) {
+  BB_ASSERT(mean > 0.0);
+  const double cv2 = (stddev / mean) * (stddev / mean);
+  const double sigma2 = std::log1p(cv2);
+  return {std::log(mean) - 0.5 * sigma2, std::sqrt(sigma2)};
+}
+
 double Rng::lognormal_by_moments(double mean, double stddev) {
   BB_ASSERT(mean > 0.0);
   const double cv2 = (stddev / mean) * (stddev / mean);
   const double sigma2 = std::log1p(cv2);
   const double mu = std::log(mean) - 0.5 * sigma2;
   return std::exp(mu + std::sqrt(sigma2) * normal());
+}
+
+double Rng::lognormal(double mu, double sigma) {
+  return std::exp(mu + sigma * normal());
 }
 
 double Rng::exponential(double mean) {

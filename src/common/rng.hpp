@@ -82,6 +82,16 @@ class Rng {
   /// Lognormal such that the *resulting* distribution has the given
   /// mean and standard deviation (moment-matched).
   double lognormal_by_moments(double mean, double stddev);
+  /// The (mu, sigma) of the underlying normal that lognormal_by_moments
+  /// derives from (mean, stddev), by the same expressions:
+  /// lognormal(mu, sigma) then draws its value bit for bit.
+  struct LognormalParams {
+    double mu;
+    double sigma;
+  };
+  static LognormalParams lognormal_params(double mean, double stddev);
+  /// exp(mu + sigma * normal()).
+  double lognormal(double mu, double sigma);
   double exponential(double mean);
   /// True with probability p.
   bool bernoulli(double p);

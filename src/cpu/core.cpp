@@ -12,6 +12,12 @@ Core::Core(sim::Simulator& simulator, CpuCostModel model, std::string name)
 
 void Core::consume(TimePs d) {
   BB_ASSERT_MSG(d >= TimePs::zero(), "CPU work cannot be negative");
+#ifndef NDEBUG
+  // The parked-waiter invariant: while a waiter on this core is parked,
+  // only its own passes touch the core's clock and RNG (every spec draw
+  // lands here), so each pass sees the state its boundary event would.
+  BB_ASSERT_MSG(!parked_, "core charged while a waiter on it is parked");
+#endif
   pending_ += d;
   busy_ += d;
 }

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -51,16 +50,27 @@ class Core {
   /// interacting with any other simulation entity.
   sim::Task<void> flush();
 
-  /// flush() as a bare callback event: schedules `fn` at the time flush()
-  /// would resume (same time, same single schedule) and returns true, or
-  /// returns false without scheduling anything when no work is pending.
-  template <typename F>
-  bool flush_then(F&& fn) {
+  /// flush() for a parked waiter (llp::Worker::idle): parks `w` on the
+  /// simulator until the pending work has elapsed -- the time flush()
+  /// would resume at, with the same single sequence number -- and returns
+  /// true, or returns false without parking when no work is pending.
+  /// Until the waiter's next pass calls unpark(), nothing else may charge
+  /// this core (debug-checked in consume()).
+  bool park(sim::Waiter& w) {
     if (pending_ == TimePs::zero()) return false;
     const TimePs d = pending_;
     pending_ = TimePs::zero();
-    sim_.call_in(d, std::forward<F>(fn));
+    sim_.park(w, sim_.now() + d);
+#ifndef NDEBUG
+    parked_ = true;
+#endif
     return true;
+  }
+  /// Marks the parked waiter's pass as running.
+  void unpark() {
+#ifndef NDEBUG
+    parked_ = false;
+#endif
   }
 
   /// Core-local time: simulator time plus un-flushed pending work.
@@ -77,6 +87,9 @@ class Core {
   TimePs pending_ = TimePs::zero();
   TimePs busy_ = TimePs::zero();
   double speed_factor_ = 1.0;
+#ifndef NDEBUG
+  bool parked_ = false;
+#endif
 };
 
 }  // namespace bb::cpu

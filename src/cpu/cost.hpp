@@ -24,6 +24,22 @@ struct CostSpec {
   /// Mean of the exponential hiccup duration.
   double tail_mean_ns = 0.0;
 
+  /// The lognormal body's (mu, sigma), cached for the (mean_ns, cv) they
+  /// were derived from. Deriving them costs a log1p, a log and a sqrt --
+  /// as much as the draw itself -- so sample() computes them once, with
+  /// Rng::lognormal_params (the expressions of lognormal_by_moments, so
+  /// every draw is bit-identical), and again only when its key differs
+  /// from the current fields. Keying on the fields rather than hiding
+  /// them keeps every in-place edit (config overlays, what-ifs, tests)
+  /// correct: the cache can never go stale. Not part of the spec; copies
+  /// carry it along harmlessly.
+  struct LognormalCache {
+    double mean_ns = 0.0;
+    double cv = 0.0;
+    Rng::LognormalParams params{0.0, 0.0};
+  };
+  mutable LognormalCache lognormal_cache{};
+
   static constexpr CostSpec fixed(double ns) { return CostSpec{ns, 0.0, 0.0, 0.0}; }
   static constexpr CostSpec jittered(double ns, double cv_) {
     return CostSpec{ns, cv_, 0.0, 0.0};
@@ -34,7 +50,11 @@ struct CostSpec {
   TimePs sample(Rng& rng) const {
     double v = mean_ns;
     if (cv > 0.0 && mean_ns > 0.0) {
-      v = rng.lognormal_by_moments(mean_ns, cv * mean_ns);
+      LognormalCache& c = lognormal_cache;
+      if (c.mean_ns != mean_ns || c.cv != cv) [[unlikely]] {
+        c = {mean_ns, cv, Rng::lognormal_params(mean_ns, cv * mean_ns)};
+      }
+      v = rng.lognormal(c.params.mu, c.params.sigma);
     }
     if (tail_prob > 0.0 && rng.bernoulli(tail_prob)) {
       v += rng.exponential(tail_mean_ns);

@@ -7,6 +7,8 @@
 // inline. Changing these values retargets the whole simulator to another
 // system -- the models and benches consume them symbolically.
 
+#include <array>
+
 #include "cpu/cost.hpp"
 
 namespace bb::cpu {
@@ -93,16 +95,20 @@ struct CpuCostModel {
   /// sd x (1 - ln 2) for an exponential component.
   CostSpec loop_exp_noise = CostSpec{0.0, 0.0, 1.0, 58.0};
 
+  /// Every spec above, in declaration order.
+  std::array<CostSpec*, 22> specs() {
+    return {&md_setup, &barrier_store_md, &barrier_store_dbc, &pio_copy_64b,
+            &llp_post_misc, &llp_prog, &llp_empty_progress, &busy_post,
+            &doorbell_write_8b, &timer_read, &memcpy_normal_64b, &mpich_isend,
+            &ucp_isend, &mpich_rx_callback, &ucp_rx_callback,
+            &mpich_after_progress, &mpich_wait_fixed, &ucp_progress_iter,
+            &hlp_tx_prog, &interrupt_wakeup, &loop_hiccup, &loop_exp_noise};
+  }
+
   /// Removes all jitter and tails (deterministic timing, used by tests and
   /// by exact model-vs-simulator comparisons).
   void strip_jitter() {
-    for (CostSpec* s :
-         {&md_setup, &barrier_store_md, &barrier_store_dbc, &pio_copy_64b,
-          &llp_post_misc, &llp_prog, &llp_empty_progress, &busy_post,
-          &doorbell_write_8b, &timer_read, &memcpy_normal_64b, &mpich_isend,
-          &ucp_isend, &mpich_rx_callback, &ucp_rx_callback,
-          &mpich_after_progress, &mpich_wait_fixed, &ucp_progress_iter,
-          &hlp_tx_prog, &interrupt_wakeup, &loop_hiccup, &loop_exp_noise}) {
+    for (CostSpec* s : specs()) {
       s->cv = 0.0;
       s->tail_prob = 0.0;
     }

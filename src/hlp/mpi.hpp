@@ -21,7 +21,7 @@ namespace bb::hlp {
 /// The blocking progress loop under every MPI-style wait: passes over
 /// `engine` (one UcpWorker, or a multi-peer coll::Communicator) until
 /// `done()`. Each pass checks the watchdog, then either runs the passes
-/// that can only poll as bare events (llp::Worker::idle) when the engine
+/// that can only poll as a parked waiter (llp::Worker::idle) when the engine
 /// has no queued work, or one real progress pass. Returns false once core
 /// time passes `deadline` with `done()` still false. Callers charge their
 /// own entry and exit costs around it.

@@ -44,7 +44,7 @@ bool Worker::IdleAwaiter::run() {
     if (upper_pass_ != nullptr) core.consume(*upper_pass_);
     core.consume(core.costs().llp_empty_progress);
     ++passes_;
-    if (core.flush_then([this] { wake(); })) return true;
+    if (core.park(*this)) return true;
   } while (!done());
   return false;
 }

@@ -11,9 +11,9 @@
 // returns (§5).
 //
 // A blocking wait spends nearly all of its passes finding nothing. idle()
-// runs those empty passes as bare callback events instead of coroutine
-// round trips, with identical costs, times and events (docs/SIM_ENGINE.md,
-// "Idle progress passes").
+// parks the waiter off the event queue and the simulator runs those empty
+// passes inline, with identical costs, times, RNG draws and logical event
+// counts (docs/SIM_ENGINE.md, "Parked waiters").
 
 #include <coroutine>
 #include <cstdint>
@@ -24,6 +24,7 @@
 #include "fault/fault.hpp"
 #include "nic/queues.hpp"
 #include "prof/profiler.hpp"
+#include "sim/simulator.hpp"
 #include "sim/task.hpp"
 
 namespace bb::llp {
@@ -62,16 +63,16 @@ class Worker {
   sim::Task<std::uint32_t> progress(std::uint32_t max_completions = 0);
 
   class IdleAwaiter;
-  /// Runs the empty passes of a blocking wait, each as one callback event.
-  /// A pass charges `upper_pass` (the layer above's per-pass cost, e.g.
+  /// Runs the empty passes of a blocking wait as a parked waiter. A pass
+  /// charges `upper_pass` (the layer above's per-pass cost, e.g.
   /// ucp_progress_iter; null for none), then the empty-pass cost, and
-  /// schedules its flush exactly as progress() would. The await returns,
-  /// with the number of passes run, once a polled CQ holds an entry (the
-  /// next progress() has work) or core time passes `deadline`. It runs no
-  /// pass at all when one of those already holds, or when a per-pass
-  /// profiler point is active. Only valid while the caller's progress
-  /// pass would do nothing but poll: no pending sends or control traffic
-  /// above.
+  /// parks until its flush would end, as progress() would delay. The
+  /// await returns, with the number of passes run, once a polled CQ holds
+  /// an entry (the next progress() has work) or core time passes
+  /// `deadline`. It runs no pass at all when one of those already holds,
+  /// or when a per-pass profiler point is active. Only valid while the
+  /// caller's progress pass would do nothing but poll: no pending sends or
+  /// control traffic above.
   IdleAwaiter idle(const cpu::CostSpec* upper_pass = nullptr,
                    TimePs deadline = TimePs::max());
 
@@ -118,28 +119,38 @@ class Worker {
   fault::FaultStats* fault_stats_ = nullptr;
 };
 
-class Worker::IdleAwaiter {
+class Worker::IdleAwaiter final : public sim::Waiter {
  public:
   IdleAwaiter(Worker& w, const cpu::CostSpec* upper_pass, TimePs deadline)
       : w_(w), upper_pass_(upper_pass), deadline_(deadline) {}
+  // The simulator holds its address while it is parked.
+  IdleAwaiter(const IdleAwaiter&) = delete;
+  IdleAwaiter& operator=(const IdleAwaiter&) = delete;
 
   bool await_ready() const { return w_.profiling_passes() || done(); }
-  bool await_suspend(std::coroutine_handle<> h) {
+  template <typename Promise>
+  bool await_suspend(std::coroutine_handle<Promise> h) {
     h_ = h;
+    waiting_ = &h.promise();
     return run();
   }
   std::uint64_t await_resume() const { return passes_; }
+
+  void pass() override {
+    w_.core_.unpark();
+    if (done() || !run()) h_.resume();
+  }
+  bool stalled() const override {
+    return deadline_ == TimePs::max() && !w_.completion_ready();
+  }
 
  private:
   bool done() const {
     return w_.core_.virtual_now() > deadline_ || w_.completion_ready();
   }
-  // Runs passes until one schedules its flush (true: stay suspended) or
+  // Runs passes until one parks on its flush (true: stay suspended) or
   // the wait is done without time passing (false).
   bool run();
-  void wake() {
-    if (done() || !run()) h_.resume();
-  }
 
   Worker& w_;
   const cpu::CostSpec* upper_pass_;

@@ -376,6 +376,7 @@ class TimerHeap {
   std::size_t size() const { return v_.size(); }
   TimePs top_time() const { return TimePs(v_[0].t_ps); }
   std::uint64_t top_seq() const { return v_[0].seq; }
+  EventItem top_item() const { return v_[0].item; }
 
   void push(TimePs t, std::uint64_t seq, EventItem item) {
     v_.push_back(Entry{t.ps(), seq, item});
@@ -391,6 +392,15 @@ class TimerHeap {
       sift_down(0);
     }
     return item;
+  }
+
+  /// Whether `pred(item)` holds for every entry (in heap order).
+  template <typename Pred>
+  bool all_of(Pred&& pred) const {
+    for (const Entry& e : v_) {
+      if (!pred(e.item)) return false;
+    }
+    return true;
   }
 
  private:

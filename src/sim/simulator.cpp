@@ -103,14 +103,32 @@ void Simulator::dispatch(TimePs t, detail::EventItem item) {
   }
 }
 
-// Pops the globally smallest (time, seq) event across the three sources.
-// Ring entries all sit at `now_`; a run/heap entry ties with the ring head
-// only when it was scheduled -- with a smaller seq -- before time advanced
-// to `now_`, in which case it must run first to preserve global order.
-bool Simulator::pick_next(TimePs& t, detail::EventItem& item) {
-  // Future sources first: the monotone run and the timer heap, both keyed
-  // by (time, seq).
-  int src = 0;  // 0 = none, 1 = run, 2 = heap
+// A parked waiter's pass, run inline as the event its boundary stands
+// for: same clock update, same count, same event-limit check.
+void Simulator::run_pass(TimePs t) {
+  Waiter* w = reinterpret_cast<Waiter*>(parked_.pop());
+  now_ = t;
+  ++events_processed_;
+  ++parked_passes_;
+  if (event_limit_ != 0 && events_processed_ > event_limit_) {
+    throw EventLimitError(event_limit_);
+  }
+  w->pass();
+  if (root_error_) [[unlikely]] {
+    rethrow_root_error();
+  }
+}
+
+// Picks the globally smallest (time, seq) entry across the three queues
+// and the parked waiters; pops it unless it is a parked pass (run_pass
+// pops those). Ring entries all sit at `now_`; a run/heap/parked entry
+// ties with the ring head only when it was scheduled -- with a smaller
+// seq -- before time advanced to `now_`, in which case it must run first
+// to preserve global order.
+Simulator::Next Simulator::pick_next(TimePs& t, detail::EventItem& item) {
+  // Future sources first: the monotone run, the timer heap and the parked
+  // waiters, all keyed by (time, seq).
+  int src = 0;  // 0 = none, 1 = run, 2 = heap, 3 = parked
   std::int64_t ft = 0;
   std::uint64_t fseq = 0;
   if (!run_.empty()) {
@@ -127,38 +145,81 @@ bool Simulator::pick_next(TimePs& t, detail::EventItem& item) {
       src = 2;
     }
   }
+  if (!parked_.empty()) {
+    const std::int64_t pt = parked_.top_time().ps();
+    const std::uint64_t pseq = parked_.top_seq();
+    if (src == 0 || pt < ft || (pt == ft && pseq < fseq)) {
+      ft = pt;
+      fseq = pseq;
+      src = 3;
+    }
+  }
   if (!ring_.empty()) {
     if (src == 0 || ft > now_.ps() || fseq > ring_.head().seq) {
       t = now_;
       item = ring_.pop().item;
-      return true;
+      return Next::kEvent;
     }
   } else if (src == 0) {
-    return false;
+    return Next::kNone;
   }
   t = TimePs(ft);
+  if (src == 3) return Next::kPass;
   item = (src == 1) ? run_.pop() : heap_.pop();
-  return true;
+  return Next::kEvent;
 }
 
 bool Simulator::has_event_at_or_before(TimePs t) const {
   if (!ring_.empty()) return now_ <= t;
   if (!run_.empty() && TimePs(run_.front_time()) <= t) return true;
   if (!heap_.empty() && heap_.top_time() <= t) return true;
+  if (!parked_.empty() && parked_.top_time() <= t) return true;
   return false;
 }
 
 bool Simulator::step_impl() {
   TimePs t;
   detail::EventItem item;
-  if (!pick_next(t, item)) return false;
-  dispatch(t, item);
+  switch (pick_next(t, item)) {
+    case Next::kNone:
+      return false;
+    case Next::kEvent:
+      dispatch(t, item);
+      break;
+    case Next::kPass:
+      run_pass(t);
+      break;
+  }
   return true;
 }
 
 void Simulator::run() {
   while (step()) {
+    if (!parked_.empty() && queue_empty()) [[unlikely]] {
+      throw_if_stalled();
+    }
   }
+}
+
+// Only queued events fill CQs (a parked pass touches its own core alone),
+// so with the queue empty a waiter with no deadline and empty CQs can
+// never finish, and neither can anything waiting on it.
+void Simulator::throw_if_stalled() const {
+  const bool stalled = parked_.all_of([](detail::EventItem w) {
+    return reinterpret_cast<const Waiter*>(w)->stalled();
+  });
+  if (stalled) {
+    const auto* w = reinterpret_cast<const Waiter*>(parked_.top_item());
+    throw StalledError(root_name(w->waiting_));
+  }
+}
+
+std::string Simulator::root_name(const detail::PromiseBase* frame) const {
+  while (frame != nullptr && frame->parent != nullptr) frame = frame->parent;
+  for (const RootProcess& r : roots_) {
+    if (&r.handle.promise() == frame) return r.name;
+  }
+  return "(unknown)";
 }
 
 void Simulator::run_until(TimePs t) {

@@ -18,7 +18,9 @@
 //    (fixed latencies) ride an O(1) monotone run queue; only out-of-order
 //    timestamps pay the (4-ary) heap;
 //  * root-process failures set a flag via a promise hook instead of being
-//    discovered by a per-event scan over all roots.
+//    discovered by a per-event scan over all roots;
+//  * a blocking wait's idle passes stay off the queue: parked waiters run
+//    each pass inline at the (time, seq) its boundary was parked with.
 
 #include <coroutine>
 #include <cstdint>
@@ -50,6 +52,45 @@ class EventLimitError : public std::runtime_error {
 
  private:
   std::uint64_t limit_;
+};
+
+/// Thrown by `Simulator::run()` when the queue is empty and every parked
+/// waiter is stalled (no deadline, nothing in its CQs): no event is left
+/// that could fill a CQ, so the waits would spin forever.
+class StalledError : public std::runtime_error {
+ public:
+  explicit StalledError(const std::string& process)
+      : std::runtime_error("simulation stalled: root process '" + process +
+                           "' waits for a completion that no pending event "
+                           "can deliver"),
+        process_(process) {}
+  /// The root process of the first parked waiter.
+  const std::string& process() const { return process_; }
+
+ private:
+  std::string process_;
+};
+
+/// A process parked in a polling loop whose passes touch only its own
+/// core (llp::Worker::idle). The simulator keeps it off the event queue
+/// and runs each pass inline, at the (time, seq) its boundary was parked
+/// with (docs/SIM_ENGINE.md, "Parked waiters").
+class Waiter {
+ public:
+  virtual ~Waiter() = default;
+  /// Runs the pass due now: parks again (`Simulator::park`) or resumes
+  /// the waiting process.
+  virtual void pass() = 0;
+  /// Whether no pass can ever end the wait unless another event fills a
+  /// CQ (no deadline, every polled CQ empty).
+  virtual bool stalled() const = 0;
+
+ protected:
+  /// The waiting coroutine's promise (names its root process in a
+  /// StalledError).
+  const detail::PromiseBase* waiting_ = nullptr;
+
+  friend class Simulator;
 };
 
 class Simulator {
@@ -97,6 +138,14 @@ class Simulator {
     call_at(now_ + d, std::forward<F>(fn));
   }
 
+  /// Parks `w` until its next pass boundary `t` (> now). The pass runs
+  /// inline at (t, seq), with seq taken here -- where `call_at` would take
+  /// it -- so it keeps its place in the global order.
+  void park(Waiter& w, TimePs t) {
+    BB_ASSERT_MSG(t > now_, "a parked pass must lie in the future");
+    parked_.push(t, next_seq_++, reinterpret_cast<detail::EventItem>(&w));
+  }
+
   /// Awaitable that suspends the current process for `d`.
   struct DelayAwaiter {
     Simulator* sim;
@@ -125,7 +174,8 @@ class Simulator {
 #endif
     return step_impl();
   }
-  /// Runs until the event queue drains.
+  /// Runs until the event queue drains. Throws StalledError once only
+  /// stalled parked waiters remain.
   void run();
   /// Runs while events exist and now() <= t.
   void run_until(TimePs t);
@@ -134,10 +184,15 @@ class Simulator {
   /// queue drains. Returns whether the predicate held.
   bool run_while_pending(const std::function<bool()>& pred);
 
+  /// Logical events: queue pops plus parked passes run inline. Parked
+  /// passes count as the events they replace, so this is the count a run
+  /// with every pass queued would report.
   std::uint64_t events_processed() const { return events_processed_; }
-  bool idle() const {
-    return ring_.empty() && run_.empty() && heap_.empty();
+  /// Events popped from the queue (excludes parked passes).
+  std::uint64_t events_dispatched() const {
+    return events_processed_ - parked_passes_;
   }
+  bool idle() const { return queue_empty() && parked_.empty(); }
 
   /// Safety valve against runaway process loops; 0 disables. Exceeding the
   /// limit throws `EventLimitError` in every build type.
@@ -167,21 +222,32 @@ class Simulator {
     }
   }
 
+  enum class Next { kNone, kEvent, kPass };
+
+  bool queue_empty() const {
+    return ring_.empty() && run_.empty() && heap_.empty();
+  }
   bool step_impl();
-  bool pick_next(TimePs& t, detail::EventItem& item);
+  Next pick_next(TimePs& t, detail::EventItem& item);
   bool has_event_at_or_before(TimePs t) const;
   void dispatch(TimePs t, detail::EventItem item);
+  void run_pass(TimePs t);
+  void throw_if_stalled() const;
+  std::string root_name(const detail::PromiseBase* frame) const;
   [[noreturn]] void rethrow_root_error();
   void drop_pending() noexcept;
 
   TimePs now_ = TimePs::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
+  std::uint64_t parked_passes_ = 0;
   std::uint64_t event_limit_ = 0;
   detail::EventPool pool_;
   detail::ReadyRing ring_;
   detail::MonotoneRun run_;
   detail::TimerHeap heap_;
+  // Parked waiters keyed by their next pass boundary; items are Waiter*.
+  detail::TimerHeap parked_;
   std::exception_ptr root_error_;
   std::uint32_t root_error_index_ = 0;
   std::vector<RootProcess> roots_;

@@ -12,6 +12,7 @@
 
 #include <coroutine>
 #include <exception>
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -34,6 +35,9 @@ void notify_root_error(void* simulator, std::uint32_t root_index,
 
 struct PromiseBase {
   std::coroutine_handle<> continuation = std::noop_coroutine();
+  /// The awaiting task's promise; null for a root process. Lets the
+  /// simulator name the root process a nested frame runs under.
+  const PromiseBase* parent = nullptr;
   std::exception_ptr exception;
 
   // Coroutine frames recycle through the thread-local frame pool: process
@@ -123,20 +127,22 @@ class [[nodiscard]] Task {
   bool valid() const { return static_cast<bool>(h_); }
   bool done() const { return !h_ || h_.done(); }
 
-  /// Awaiting a task starts it and suspends the awaiter until it finishes.
-  auto operator co_await() && noexcept {
-    struct Awaiter {
-      handle_type h;
-      bool await_ready() const noexcept { return !h || h.done(); }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<> cont) noexcept {
-        h.promise().continuation = cont;
-        return h;  // symmetric transfer: start the child now
+  struct Awaiter {
+    handle_type h;
+    bool await_ready() const noexcept { return !h || h.done(); }
+    template <typename P>
+    std::coroutine_handle<> await_suspend(
+        std::coroutine_handle<P> cont) noexcept {
+      h.promise().continuation = cont;
+      if constexpr (std::is_base_of_v<detail::PromiseBase, P>) {
+        h.promise().parent = &cont.promise();
       }
-      T await_resume() { return h.promise().take_result(); }
-    };
-    return Awaiter{h_};
-  }
+      return h;  // symmetric transfer: start the child now
+    }
+    T await_resume() { return h.promise().take_result(); }
+  };
+  /// Awaiting a task starts it and suspends the awaiter until it finishes.
+  Awaiter operator co_await() && noexcept { return Awaiter{h_}; }
 
   /// Releases ownership of the frame (used by Simulator::spawn).
   handle_type release() { return std::exchange(h_, {}); }

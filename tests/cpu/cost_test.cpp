@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 namespace bb::cpu {
 namespace {
 
@@ -81,6 +84,83 @@ TEST(CpuCostModel, StripJitterZeroesEverything) {
   EXPECT_NEAR(m.pio_copy_64b.sample(rng).to_ns(), 94.25, 1e-9);
   EXPECT_NEAR(m.timer_read.sample(rng).to_ns(), 49.69, 1e-9);
   EXPECT_NEAR(m.loop_hiccup.sample(rng).to_ns(), 0.0, 1e-9);
+}
+
+// -- Cached lognormal parameters: every draw stays bit-identical ---------
+
+// The reference draw: the moment-matched lognormal recomputed from
+// (mean, cv * mean) on every call, then the tail.
+double reference_draw(const CostSpec& s, Rng& rng) {
+  double v = s.mean_ns;
+  if (s.cv > 0.0 && s.mean_ns > 0.0) {
+    v = rng.lognormal_by_moments(s.mean_ns, s.cv * s.mean_ns);
+  }
+  if (s.tail_prob > 0.0 && rng.bernoulli(s.tail_prob)) {
+    v += rng.exponential(s.tail_mean_ns);
+  }
+  return v;
+}
+
+void expect_draws_match_reference(const CostSpec& spec, std::uint64_t seed) {
+  Rng cached(seed);
+  Rng reference(seed);
+  for (int i = 0; i < 100000; ++i) {
+    const TimePs want = TimePs::from_ns(reference_draw(spec, reference));
+    ASSERT_EQ(spec.sample(cached).ps(), want.ps())
+        << "mean " << spec.mean_ns << " cv " << spec.cv << " draw " << i;
+  }
+  EXPECT_EQ(cached.next_u64(), reference.next_u64());
+}
+
+TEST(CostSpecCache, EveryModelSpecDrawsBitIdentically) {
+  CpuCostModel m;
+  std::uint64_t seed = 11;
+  for (CostSpec* spec : m.specs()) {
+    expect_draws_match_reference(*spec, ++seed);
+    expect_draws_match_reference(spec->scaled(0.37), ++seed);
+  }
+}
+
+TEST(CostSpecCache, ParamsReproduceLognormalByMomentsBitForBit) {
+  CpuCostModel m;
+  for (CostSpec* spec : m.specs()) {
+    if (spec->cv <= 0.0 || spec->mean_ns <= 0.0) continue;
+    const auto p =
+        Rng::lognormal_params(spec->mean_ns, spec->cv * spec->mean_ns);
+    Rng a(99);
+    Rng b(99);
+    for (int i = 0; i < 1000; ++i) {
+      const double want =
+          b.lognormal_by_moments(spec->mean_ns, spec->cv * spec->mean_ns);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.lognormal(p.mu, p.sigma)),
+                std::bit_cast<std::uint64_t>(want));
+    }
+  }
+}
+
+TEST(CostSpecCache, InPlaceEditsChangeTheVeryNextDraw) {
+  CostSpec spec = CostSpec::jittered(100.0, 0.15);
+  Rng cached(7);
+  Rng reference(7);
+  const auto next_matches = [&] {
+    return spec.sample(cached).ps() ==
+           TimePs::from_ns(reference_draw(spec, reference)).ps();
+  };
+  EXPECT_TRUE(next_matches());
+  spec.mean_ns = 40.0;
+  EXPECT_TRUE(next_matches());
+  spec.cv = 0.6;
+  EXPECT_TRUE(next_matches());
+  spec.mean_ns = 100.0;  // back to an earlier mean, new cv
+  EXPECT_TRUE(next_matches());
+
+  // The edit shows in the draw itself, not only in agreement: a twin stream
+  // drawing from the old spec diverges at once.
+  const CostSpec before = spec;
+  spec.mean_ns = 1000.0;
+  Rng a(3);
+  Rng b(3);
+  EXPECT_GT(spec.sample(a).to_ns(), 5 * before.sample(b).to_ns());
 }
 
 }  // namespace

@@ -96,7 +96,7 @@ TEST(Worker, MsgIdsAreUniqueAndMonotonic) {
   EXPECT_LT(a, b);
 }
 
-// -- Worker::idle: a blocking wait's empty passes as bare events --------
+// -- Worker::idle: a blocking wait's empty passes as a parked waiter ----
 
 sim::Task<void> idle_once(Worker& w, std::uint64_t& passes, TimePs& at,
                           TimePs deadline = TimePs::max()) {

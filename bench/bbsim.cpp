@@ -13,16 +13,22 @@
 //                                      # one benchmark across ALL presets,
 //                                      # sharded over the bb::exec pool
 //   bbsim list                         # available presets
+//   bbsim whatif [<component> <pct>] [--csv]
+//                                      # §7 what-if (Fig. 17) on the
+//                                      # paper's testbed
 //
 // Every subcommand accepts `--jobs N` (default: hardware concurrency;
 // BB_JOBS overrides). The thread count never changes any printed number
 // -- bb::exec sweeps are bit-identical at every value. Counts, ranks and
 // bytes are plain positive integers; anything else exits 2.
+//
+// The model column is Table 1's analytical model, which describes the
+// PIO+inline descriptor path only; on any other machine it reads n/a.
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -33,6 +39,7 @@
 #include "benchlib/osu_coll.hpp"
 #include "benchlib/put_bw.hpp"
 #include "core/models.hpp"
+#include "core/whatif.hpp"
 #include "exec/sweep.hpp"
 #include "model/alpha_beta.hpp"
 #include "scenario/testbed.hpp"
@@ -42,19 +49,11 @@ using namespace bb;
 
 namespace {
 
-std::map<std::string, std::function<scenario::SystemConfig()>> presets() {
-  using namespace scenario::presets;
-  return {
-      {"thunderx2-cx4", [] { return thunderx2_cx4(); }},
-      {"deterministic", [] { return deterministic(); }},
-      {"integrated-nic", [] { return integrated_nic(0.5); }},
-      {"fast-device-memory", [] { return fast_device_memory(); }},
-      {"genz-switch", [] { return genz_switch(); }},
-      {"pam4-fec-wire", [] { return pam4_fec_wire(); }},
-      {"tofu-d-like", [] { return tofu_d_like(); }},
-      {"doorbell-dma", [] { return doorbell_dma_path(); }},
-      {"unsignaled-completions", [] { return unsignaled_completions(); }},
-  };
+/// Every named machine, keyed (and so listed) by name.
+std::map<std::string, scenario::SystemConfig> presets() {
+  std::map<std::string, scenario::SystemConfig> reg;
+  for (const auto& cfg : scenario::presets::all()) reg.emplace(cfg.name, cfg);
+  return reg;
 }
 
 /// Prints usage, plus the experiment names with `list`; returns 2.
@@ -65,8 +64,9 @@ int usage(const char* argv0, bool list = false) {
                "       %s coll [preset] [ranks] [bytes] "
                "[barrier|bcast|allgather|allreduce]\n"
                "       %s sweep <put_bw|am_lat|osu_mr|osu_lat> [count]\n"
-               "       %s run <experiment>|all [--jobs N] [--smoke]\n",
-               argv0, argv0, argv0, argv0);
+               "       %s run <experiment>|all [--jobs N] [--smoke]\n"
+               "       %s whatif [<component> <reduction-%%>] [--csv]\n",
+               argv0, argv0, argv0, argv0, argv0);
   if (!list) return 2;
   std::fprintf(stderr, "experiments:\n");
   for (const auto& e : bbench::experiments()) {
@@ -94,15 +94,85 @@ std::optional<std::uint64_t> positional(const std::vector<std::string>& pos,
   return std::nullopt;
 }
 
+/// The reduction as a fraction, if the whole token is a finite number in
+/// (0, 100].
+std::optional<double> parse_reduction(const std::string& s) {
+  double pct = 0.0;
+  const char* end = s.data() + s.size();
+  const auto r = std::from_chars(s.data(), end, pct);
+  if (r.ec != std::errc() || r.ptr != end || !std::isfinite(pct) ||
+      pct <= 0.0 || pct > 100.0) {
+    return std::nullopt;
+  }
+  return pct / 100.0;
+}
+
+/// `bbsim whatif [<component> <pct>] [--csv]` on the paper's testbed: the
+/// four Fig. 17 panels, or one component of the same list reduced by
+/// `pct` percent.
+int whatif(const char* argv0, const std::vector<std::string>& args) {
+  const core::WhatIf w(
+      core::ComponentTable::from_config(scenario::presets::thunderx2_cx4()));
+  if (args.empty() || (args.size() == 1 && args[0] == "--csv")) {
+    const bool csv = !args.empty();
+    for (const auto& panel : {w.injection_cpu(), w.latency_cpu(),
+                              w.latency_io(), w.latency_network()}) {
+      std::printf("%s\n", csv ? panel.to_csv().c_str()
+                              : panel.render().c_str());
+    }
+    return 0;
+  }
+  if (args.size() != 2) return usage(argv0);
+  const std::optional<double> reduction = parse_reduction(args[1]);
+  if (!reduction) {
+    std::fprintf(stderr,
+                 "invalid reduction '%s' (want a number in (0, 100])\n",
+                 args[1].c_str());
+    return 2;
+  }
+  const core::WhatIfComponent* c = w.find(args[0]);
+  if (!c) {
+    std::fprintf(stderr, "unknown component '%s'; one of:", args[0].c_str());
+    for (const auto& row : w.components()) {
+      std::fprintf(stderr, " %s", row.key.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
+  // Headline size: the latency share, or the injection share if the
+  // component is not on the latency path.
+  std::printf("component %-12s = %.2f ns, reduced by %.0f%%\n", c->key.c_str(),
+              c->latency_ns > 0 ? c->latency_ns : c->injection_ns,
+              *reduction * 100.0);
+  for (const auto m : {core::Metric::kInjection, core::Metric::kLatency}) {
+    if (c->ns(m) <= 0) continue;
+    const double base = w.base_ns(m);
+    std::printf("  %-10s %.2f -> %.2f ns  (%.2f%% faster)\n",
+                m == core::Metric::kInjection ? "injection:" : "latency:",
+                base, base - *reduction * c->ns(m),
+                w.speedup_of(c->key, m, *reduction) * 100.0);
+  }
+  return 0;
+}
+
 bool is_metric(const std::string& m) {
   return m == "put_bw" || m == "am_lat" || m == "osu_mr" || m == "osu_lat";
 }
 
-/// One benchmark's observed + modelled value on one preset.
+/// One benchmark's observed + modelled value on one preset; no model
+/// value where Table 1's equations do not describe the machine.
 struct SweepRow {
   double observed;
-  double modelled;
+  std::optional<double> modelled;
 };
+
+/// `v` as "%.2f" followed by `unit`, or "n/a".
+std::string model_text(std::optional<double> v, const char* unit = "") {
+  if (!v) return "n/a";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.2f%s", *v, unit);
+  return buf;
+}
 
 /// Runs benchmark `metric` on `cfg` (`count` 0 = its default) and, with
 /// `report`, prints the single-preset summary.
@@ -110,6 +180,10 @@ SweepRow run_metric(const std::string& metric,
                     const scenario::SystemConfig& cfg, std::uint64_t count,
                     bool report) {
   const auto table = core::ComponentTable::from_config(cfg);
+  const bool table1_path = cfg.endpoint.use_pio && cfg.endpoint.inline_payload;
+  const auto model_if = [&](double v) {
+    return table1_path ? std::optional<double>(v) : std::nullopt;
+  };
   const auto n = count ? count
                  : metric == "put_bw" ? 10000
                  : metric == "osu_mr" ? 300
@@ -120,12 +194,14 @@ SweepRow run_metric(const std::string& metric,
     bench::PutBwBenchmark b(tb, {.messages = n, .warmup = n / 10});
     const auto res = b.run();
     const auto s = res.nic_deltas.summarize();
-    const double model = core::InjectionModel(table).llp_injection_ns();
+    const auto model =
+        model_if(core::InjectionModel(table).llp_injection_ns());
     if (report) {
       std::printf("put_bw on %s: %llu msgs\n", name,
                   static_cast<unsigned long long>(res.messages));
       std::printf("  observed injection overhead: %s\n", s.str().c_str());
-      std::printf("  modelled (Eq. 1):            %.2f ns\n", model);
+      std::printf("  modelled (Eq. 1):            %s\n",
+                  model_text(model, " ns").c_str());
       std::printf("  busy posts: %llu\n",
                   static_cast<unsigned long long>(res.busy_posts));
     }
@@ -134,38 +210,42 @@ SweepRow run_metric(const std::string& metric,
   if (metric == "am_lat") {
     bench::AmLatBenchmark b(tb, {.iterations = n, .warmup = n / 10});
     const auto res = b.run();
-    const double model = core::LatencyModel(table).llp_latency_ns();
+    const auto model = model_if(core::LatencyModel(table).llp_latency_ns());
     if (report) {
       std::printf("am_lat on %s: %llu iterations\n", name,
                   static_cast<unsigned long long>(res.iterations));
       std::printf("  observed latency (adjusted): %.2f ns\n",
                   res.adjusted_mean_ns);
-      std::printf("  modelled LLP latency:        %.2f ns\n", model);
+      std::printf("  modelled LLP latency:        %s\n",
+                  model_text(model, " ns").c_str());
     }
     return {res.adjusted_mean_ns, model};
   }
   if (metric == "osu_mr") {
     bench::OsuMessageRate b(tb, {.windows = n, .warmup_windows = n / 10});
     const auto res = b.run();
-    const double model = core::InjectionModel(table).overall_injection_ns();
+    const auto model =
+        model_if(core::InjectionModel(table).overall_injection_ns());
     if (report) {
       std::printf("osu_mr on %s: %llu msgs\n", name,
                   static_cast<unsigned long long>(res.messages));
       std::printf("  message rate: %.2f M msg/s (%.2f ns/msg)\n",
                   res.message_rate() / 1e6, res.cpu_per_msg_ns);
-      std::printf("  modelled (Eq. 2): %.2f ns/msg\n", model);
+      std::printf("  modelled (Eq. 2): %s\n",
+                  model_text(model, " ns/msg").c_str());
     }
     return {res.cpu_per_msg_ns, model};
   }
   bench::OsuLatency b(tb, {.iterations = n, .warmup = n / 10});
   const auto res = b.run();
-  const double model = core::LatencyModel(table).e2e_latency_ns();
+  const auto model = model_if(core::LatencyModel(table).e2e_latency_ns());
   if (report) {
     std::printf("osu_lat on %s: %llu iterations\n", name,
                 static_cast<unsigned long long>(res.iterations));
     std::printf("  observed latency (adjusted): %.2f ns\n",
                 res.adjusted_mean_ns);
-    std::printf("  modelled e2e latency:        %.2f ns\n", model);
+    std::printf("  modelled e2e latency:        %s\n",
+                model_text(model, " ns").c_str());
   }
   return {res.adjusted_mean_ns, model};
 }
@@ -189,6 +269,8 @@ int main(int argc, char** argv) {
     return usage(argv0, true);
   }
 
+  if (cmd == "whatif") return whatif(argv0, {pos.begin() + 2, pos.end()});
+
   const auto reg = presets();
 
   if (cmd == "sweep") {
@@ -202,7 +284,7 @@ int main(int argc, char** argv) {
     const auto res = exec::run_sweep(
         exec::sweep(names),
         [&](const std::string& name, exec::Job&) {
-          return run_metric(metric, reg.at(name)(), *n, false);
+          return run_metric(metric, reg.at(name), *n, false);
         },
         args.exec);
     std::fprintf(stderr, "[exec] %s\n", res.summary().c_str());
@@ -212,8 +294,9 @@ int main(int argc, char** argv) {
                            : "latency ns";
     std::printf("%-24s %14s %14s\n", "preset", unit, "model");
     for (std::size_t i = 0; i < names.size(); ++i) {
-      std::printf("%-24s %14.2f %14.2f\n", names[i].c_str(),
-                  res.values[i].observed, res.values[i].modelled);
+      std::printf("%-24s %14.2f %14s\n", names[i].c_str(),
+                  res.values[i].observed,
+                  model_text(res.values[i].modelled).c_str());
     }
     return 0;
   }
@@ -230,7 +313,7 @@ int main(int argc, char** argv) {
                  preset.c_str(), argv0);
     return 2;
   }
-  const auto cfg = it->second();
+  const auto& cfg = it->second;
 
   if (is_metric(cmd)) {
     // put_bw measures the delta between consecutive posts: it needs two.

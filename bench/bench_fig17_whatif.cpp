@@ -67,18 +67,21 @@ int bbench::fig17_whatif(const Args& args) {
   const auto res = exec::run_sweep(
       exec::sweep<int>({0, 1, 2, 3, 4}),
       [](int which, exec::Job&) {
+        namespace overlays = scenario::overlays;
+        const auto base = scenario::presets::thunderx2_cx4();
         switch (which) {
           case 0:
-            return observed_injection_ns(scenario::presets::thunderx2_cx4());
+            return observed_injection_ns(base);
           case 1:
-            return observed_latency_ns(scenario::presets::thunderx2_cx4());
+            return observed_latency_ns(base);
           case 2:
             return observed_injection_ns(
-                scenario::presets::fast_device_memory(15.0));
+                base.with(overlays::fast_device_memory(15.0)));
           case 3:
-            return observed_latency_ns(scenario::presets::integrated_nic(0.5));
+            return observed_latency_ns(
+                base.with(overlays::integrated_nic(0.5)));
           default:
-            return observed_latency_ns(scenario::presets::genz_switch(30.0));
+            return observed_latency_ns(base.with(overlays::genz_switch(30.0)));
         }
       },
       args.exec);

@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "benchlib/am_lat.hpp"
-#include "core/component_table.hpp"
 #include "exec/sweep.hpp"
+#include "model/alpha_beta.hpp"
 #include "scenario/testbed.hpp"
 #include "util.hpp"
 
@@ -29,10 +29,9 @@ struct Point {
 };
 
 Point run(std::uint32_t bytes) {
-  auto cfg = scenario::presets::thunderx2_cx4();
   // Keep inlining for everything that fits a few PIO chunks; beyond the
   // inline limit the payload is fetched by DMA (the realistic path).
-  scenario::Testbed tb(cfg);
+  scenario::Testbed tb(scenario::presets::thunderx2_cx4());
   bench::AmLatBenchmark b(tb, {.iterations = 800,
                                .warmup = 80,
                                .bytes = bytes,
@@ -40,13 +39,9 @@ Point run(std::uint32_t bytes) {
   Point p;
   p.bytes = bytes;
   p.latency_ns = b.run().adjusted_mean_ns;
-  const auto t = core::ComponentTable::from_config(tb.config());
   // CPU share: post + poll work (independent of size up to chunking).
-  const std::uint32_t chunks =
-      bytes <= cfg.endpoint.max_inline_bytes
-          ? (cfg.endpoint.md_overhead_bytes + bytes + 63) / 64
-          : 1;
-  const double cpu = t.llp_post() + (chunks - 1) * t.pio_copy + t.llp_prog;
+  const double cpu = model::PtPtModel(tb.config()).llp_post_ns(bytes) +
+                     tb.config().cpu.llp_prog.mean_ns;
   p.cpu_share = cpu / p.latency_ns;
   return p;
 }

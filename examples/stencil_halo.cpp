@@ -81,9 +81,12 @@ int main() {
               "halo messages per iteration, %.0f us compute per iteration\n\n",
               kIterations, kHaloCells, kComputeTime.to_ns() / 1e3);
 
-  const StencilResult base = run(scenario::presets::thunderx2_cx4());
-  const StencilResult fast_pio = run(scenario::presets::fast_device_memory());
-  const StencilResult soc = run(scenario::presets::integrated_nic(0.5));
+  const scenario::SystemConfig paper = scenario::presets::thunderx2_cx4();
+  const StencilResult base = run(paper);
+  const StencilResult fast_pio =
+      run(paper.with(scenario::overlays::fast_device_memory()));
+  const StencilResult soc =
+      run(paper.with(scenario::overlays::integrated_nic(0.5)));
 
   std::printf("%-28s %16s %16s\n", "machine", "iter time (us)",
               "per-msg (ns)");
@@ -94,8 +97,7 @@ int main() {
   std::printf("%-28s %16.2f %16.2f\n", "integrated NIC (I/O -50%)",
               soc.per_iteration_us, soc.per_message_ns);
 
-  const auto w = core::WhatIf(core::ComponentTable::from_config(
-      scenario::presets::thunderx2_cx4()));
+  const auto w = core::WhatIf(core::ComponentTable::from_config(paper));
   std::printf("\npaper's what-if predictions for the messaging share:\n");
   std::printf("  PIO->15ns:  injection -%.1f%%\n",
               w.pio_injection_speedup() * 100);

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/assert.hpp"
+
 namespace bb::core {
 
 std::string WhatIfPanel::render() const {
@@ -49,6 +51,28 @@ std::string WhatIfPanel::to_csv() const {
 WhatIf::WhatIf(ComponentTable t) : t_(t) {
   inj_base_ = InjectionModel(t_).overall_injection_ns();
   lat_base_ = LatencyModel(t_).e2e_latency_ns();
+  constexpr unsigned a = 1, b = 2, c = 4, d = 8;  // Fig. 17a-d
+  // HLP and LLP progress split by direction: the sender's share enters
+  // Eq. 2, the receiver's the latency. LLP_prog enters Eq. 2 only as its
+  // per-op share LLP_tx_prog = LLP_prog / c, plotted under that name.
+  rows_ = {
+      {"hlp", "HLP", t_.hlp_post() + t_.hlp_tx_prog,
+       t_.hlp_post() + t_.hlp_rx_prog(), a | b},
+      {"llp", "LLP", t_.llp_post() + t_.llp_tx_prog(),
+       t_.llp_post() + t_.llp_prog, a | b},
+      {"hlp_rx_prog", "HLP_rx_prog", 0, t_.hlp_rx_prog(), b},
+      {"llp_post", "LLP_post", t_.llp_post(), t_.llp_post(), a | b},
+      {"pio", "PIO", t_.pio_copy, t_.pio_copy, a | b},
+      {"hlp_tx_prog", "HLP_tx_prog", t_.hlp_tx_prog, 0, a},
+      {"hlp_post", "HLP_post", t_.hlp_post(), t_.hlp_post(), a | b},
+      {"llp_tx_prog", "LLP_tx_prog", t_.llp_tx_prog(), 0, a},
+      {"llp_prog", "LLP_prog", t_.llp_tx_prog(), t_.llp_prog, b},
+      {"io", "Integrated NIC", 0, 2.0 * t_.pcie + t_.rc_to_mem_8b, c},
+      {"pcie", "PCIe", 0, 2.0 * t_.pcie, c},
+      {"rc_to_mem", "RC-to-MEM", 0, t_.rc_to_mem_8b, c},
+      {"wire", "Wire", 0, t_.wire, d},
+      {"switch", "Switch", 0, t_.switch_lat, d},
+  };
 }
 
 const std::vector<double>& WhatIf::standard_grid() {
@@ -56,104 +80,42 @@ const std::vector<double>& WhatIf::standard_grid() {
   return grid;
 }
 
-namespace {
-WhatIfCurve make_curve(const std::string& name, double ns, double base) {
-  WhatIfCurve c;
-  c.component = name;
-  c.component_ns = ns;
-  c.reductions = WhatIf::standard_grid();
-  for (double r : c.reductions) {
-    c.speedups.push_back(WhatIf::speedup(ns, r, base));
+const WhatIfComponent* WhatIf::find(std::string_view key) const {
+  for (const auto& r : rows_) {
+    if (r.key == key) return &r;
   }
-  return c;
+  return nullptr;
 }
-}  // namespace
 
-WhatIfPanel WhatIf::injection_cpu() const {
-  WhatIfPanel p;
-  p.title = "Fig 17a: injection speedup vs CPU-component reduction";
-  p.base_total_ns = inj_base_;
-  const double hlp = t_.hlp_post() + t_.hlp_tx_prog;
-  const double llp = t_.llp_post() + t_.llp_tx_prog();
-  p.curves = {
-      make_curve("HLP", hlp, inj_base_),
-      make_curve("LLP", llp, inj_base_),
-      make_curve("LLP_post", t_.llp_post(), inj_base_),
-      make_curve("PIO", t_.pio_copy, inj_base_),
-      make_curve("HLP_tx_prog", t_.hlp_tx_prog, inj_base_),
-      make_curve("HLP_post", t_.hlp_post(), inj_base_),
-      make_curve("LLP_tx_prog", t_.llp_tx_prog(), inj_base_),
+double WhatIf::speedup_of(std::string_view key, Metric m,
+                          double reduction) const {
+  const WhatIfComponent* r = find(key);
+  BB_ASSERT_MSG(r != nullptr, "unknown what-if component");
+  return speedup(r->ns(m), reduction, base_ns(m));
+}
+
+WhatIfPanel WhatIf::panel(unsigned i) const {
+  static const char* const kTitles[] = {
+      "Fig 17a: injection speedup vs CPU-component reduction",
+      "Fig 17b: latency speedup vs CPU-component reduction",
+      "Fig 17c: latency speedup vs I/O-component reduction",
+      "Fig 17d: latency speedup vs network-component reduction",
   };
-  return p;
-}
-
-WhatIfPanel WhatIf::latency_cpu() const {
+  const Metric m = i == 0 ? Metric::kInjection : Metric::kLatency;
   WhatIfPanel p;
-  p.title = "Fig 17b: latency speedup vs CPU-component reduction";
-  p.base_total_ns = lat_base_;
-  const double hlp = t_.hlp_post() + t_.hlp_rx_prog();
-  const double llp = t_.llp_post() + t_.llp_prog;
-  p.curves = {
-      make_curve("HLP", hlp, lat_base_),
-      make_curve("LLP", llp, lat_base_),
-      make_curve("HLP_rx_prog", t_.hlp_rx_prog(), lat_base_),
-      make_curve("LLP_post", t_.llp_post(), lat_base_),
-      make_curve("PIO", t_.pio_copy, lat_base_),
-      make_curve("HLP_post", t_.hlp_post(), lat_base_),
-      make_curve("LLP_prog", t_.llp_prog, lat_base_),
-  };
+  p.title = kTitles[i];
+  p.base_total_ns = base_ns(m);
+  for (const auto& r : rows_) {
+    if (!(r.panels & (1u << i))) continue;
+    WhatIfCurve& c = p.curves.emplace_back();
+    c.component = r.label;
+    c.component_ns = r.ns(m);
+    c.reductions = standard_grid();
+    for (double red : c.reductions) {
+      c.speedups.push_back(speedup(c.component_ns, red, p.base_total_ns));
+    }
+  }
   return p;
-}
-
-WhatIfPanel WhatIf::latency_io() const {
-  WhatIfPanel p;
-  p.title = "Fig 17c: latency speedup vs I/O-component reduction";
-  p.base_total_ns = lat_base_;
-  const double io_total = 2.0 * t_.pcie + t_.rc_to_mem_8b;
-  p.curves = {
-      make_curve("Integrated NIC", io_total, lat_base_),
-      make_curve("PCIe", 2.0 * t_.pcie, lat_base_),
-      make_curve("RC-to-MEM", t_.rc_to_mem_8b, lat_base_),
-  };
-  return p;
-}
-
-WhatIfPanel WhatIf::latency_network() const {
-  WhatIfPanel p;
-  p.title = "Fig 17d: latency speedup vs network-component reduction";
-  p.base_total_ns = lat_base_;
-  p.curves = {
-      make_curve("Wire", t_.wire, lat_base_),
-      make_curve("Switch", t_.switch_lat, lat_base_),
-  };
-  return p;
-}
-
-double WhatIf::pio_injection_speedup(double target_ns) const {
-  const double reduction = 1.0 - target_ns / t_.pio_copy;
-  return speedup(t_.pio_copy, reduction, inj_base_);
-}
-
-double WhatIf::pio_latency_speedup(double target_ns) const {
-  const double reduction = 1.0 - target_ns / t_.pio_copy;
-  return speedup(t_.pio_copy, reduction, lat_base_);
-}
-
-double WhatIf::hlp_injection_speedup(double reduction) const {
-  return speedup(t_.hlp_post() + t_.hlp_tx_prog, reduction, inj_base_);
-}
-
-double WhatIf::llp_injection_speedup(double reduction) const {
-  return speedup(t_.llp_post() + t_.llp_tx_prog(), reduction, inj_base_);
-}
-
-double WhatIf::integrated_nic_latency_speedup(double reduction) const {
-  return speedup(2.0 * t_.pcie + t_.rc_to_mem_8b, reduction, lat_base_);
-}
-
-double WhatIf::switch_latency_speedup(double target_ns) const {
-  const double reduction = 1.0 - target_ns / t_.switch_lat;
-  return speedup(t_.switch_lat, reduction, lat_base_);
 }
 
 }  // namespace bb::core

@@ -367,29 +367,9 @@ void Nic::on_data_packet(const net::NetPacket& pkt) {
                });
   // §2 step 4: acknowledge to the initiator NIC. The ACK does not wait
   // for the payload's RC-to-MEM commit.
-  if (params_.ack_coalesce_ns <= 0.0) {
-    ++tstats_.acks_sent;
-    send_ctrl(net::NetPacket::Kind::kAck, pkt.qp, pkt.psn, pkt.src_node,
-              params_.rx_proc_ns + params_.ack_gen_ns);
-    return;
-  }
-  // Coalesced: one cumulative ACK covers every packet accepted while the
-  // coalescing window was open.
-  rf.ack_due_psn = pkt.psn;
-  if (!rf.ack_timer_armed) {
-    rf.ack_timer_armed = true;
-    const auto key = std::make_pair(pkt.src_node, pkt.qp);
-    sim_.call_in(TimePs::from_ns(params_.rx_proc_ns + params_.ack_gen_ns +
-                                 params_.ack_coalesce_ns),
-                 [this, key] {
-                   RxFlow& flow = rx_flows_[key];
-                   flow.ack_timer_armed = false;
-                   ++tstats_.acks_sent;
-                   fabric_.send(net::NetPacket::ctrl(
-                       net::NetPacket::Kind::kAck, key.second,
-                       flow.ack_due_psn, node_id_, key.first));
-                 });
-  }
+  ++tstats_.acks_sent;
+  send_ctrl(net::NetPacket::Kind::kAck, pkt.qp, pkt.psn, pkt.src_node,
+            params_.rx_proc_ns + params_.ack_gen_ns);
 }
 
 void Nic::complete_message(const pcie::WireMd& md) {

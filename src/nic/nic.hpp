@@ -87,11 +87,6 @@ struct NicParams {
   double rnr_backoff = 2.0;
   /// Consecutive RNR NAKs tolerated before the QP errors.
   int rnr_retry_cnt = 7;
-  /// >0: the responder coalesces ACKs, delaying them by this much so one
-  /// cumulative ACK covers a burst. 0 (default) acknowledges every data
-  /// packet immediately -- the pre-transport timeline, kept so error-free
-  /// goldens stay bit-identical.
-  double ack_coalesce_ns = 0.0;
   /// Modify-QP ladder processing (reset -> init -> RTR -> RTS) before the
   /// reconnect handshake's packet is emitted.
   double qp_recovery_ns = 500.0;
@@ -244,10 +239,6 @@ class Nic {
     std::uint64_t expected_psn = 1;
     /// One NAK per gap window: cleared when the expected PSN arrives.
     bool nak_outstanding = false;
-    /// ACK coalescing (ack_coalesce_ns > 0): highest accepted PSN and
-    /// whether a delayed cumulative ACK is already scheduled.
-    std::uint64_t ack_due_psn = 0;
-    bool ack_timer_armed = false;
   };
   std::map<std::uint32_t, TxFlow> tx_flows_;
   std::map<std::pair<int, std::uint32_t>, RxFlow> rx_flows_;

@@ -4,7 +4,7 @@
 // A SystemConfig aggregates every knob of the simulated machine. The
 // default constructor *is* the paper's testbed: ThunderX2 @ 2 GHz,
 // ConnectX-4 behind PCIe Gen3, Mellanox InfiniBand with one switch,
-// MPICH/CH4 over UCX -- all calibrated to Table 1. The presets apply the
+// MPICH/CH4 over UCX -- all calibrated to Table 1. The overlays apply the
 // §7 what-if configurations as actual machine changes, so the simulated
 // optimizations can be *run*, not just computed.
 
@@ -13,6 +13,7 @@
 #include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "coll/tuning.hpp"
 #include "cpu/cost_model.hpp"
@@ -63,8 +64,9 @@ namespace overlays {
 
 /// A named, reusable config transform. Overlays relabel the config they
 /// touch: applied to the baseline testbed they *replace* the name (so
-/// preset wrappers keep their historical names); applied to anything else
-/// they append "+label", making composed scenarios self-describing.
+/// single-change machines are named by their overlay); applied to
+/// anything else they append "+label", making composed scenarios
+/// self-describing.
 struct Overlay {
   std::string label;
   std::function<void(SystemConfig&)> fn;
@@ -117,51 +119,21 @@ void apply_overlay(SystemConfig& c, F&& f) {
 }
 
 namespace presets {
-// Named single-change machines, kept as thin wrappers over
-// thunderx2_cx4().with(overlays::...) so existing binaries compile (and
-// report the same scenario names) unchanged.
+// Named machines. Every other scenario is spelled as overlays on the
+// testbed, e.g. thunderx2_cx4().with(overlays::genz_switch(30)), which
+// the relabel rule names "genz-switch".
 
 /// The paper's testbed (§3). Identical to a default-constructed config.
 SystemConfig thunderx2_cx4();
 
-/// Fault-injection ablation machine: the testbed with `f` enabled.
-SystemConfig faulty_testbed(fault::FaultConfig f);
-
-/// §7.1 "NIC integrated into a System-on-Chip": scales the whole I/O
-/// subsystem (PCIe latency and RC-to-MEM) down by `io_reduction`.
-SystemConfig integrated_nic(double io_reduction = 0.5);
-
-/// §7.1 "Improving the initiation of a message in LLP": device-memory
-/// writes approach Normal-memory speed; the default projects the paper's
-/// 15 ns PIO copy (84% reduction).
-SystemConfig fast_device_memory(double pio_copy_ns = 15.0);
-
-/// §7.2 Gen-Z-class switch (30-50 ns forecast; default 30).
-SystemConfig genz_switch(double switch_ns = 30.0);
-
-/// §7.2 higher-throughput wire paying PAM4+FEC latency (+300 ns).
-SystemConfig pam4_fec_wire(double extra_wire_ns = 300.0);
-
-/// Tofu-D-like integration: integrated NIC shaving ~400 ns off the
-/// one-sided latency (§7.1's post-K example).
-SystemConfig tofu_d_like();
-
-/// Classic offloaded path: DoorBell + DMA descriptor/payload fetches
-/// instead of PIO+inline (the §2 baseline PIO replaces).
-SystemConfig doorbell_dma_path();
-
-/// UCX default signalling: one CQE per 64 ops (§6).
-SystemConfig unsignaled_completions(std::uint32_t period = 64);
-
-/// A TSO (x86-like) machine: §4.1 notes the store barriers in LLP_post
-/// exist "only for a weak memory model (dmb st on aarch64)" -- under
-/// total store order they vanish, at the cost of nothing else changing.
-/// Illustrates how much of the Arm LLP_post is memory-model tax.
-SystemConfig tso_cpu();
-
 /// The paper's testbed with every stochastic element removed: exact
 /// component means, no hiccups. Timing becomes exactly predictable.
 SystemConfig deterministic();
+
+/// Every named machine: the two above plus the testbed under each
+/// single-change overlay (integrated NIC at 50% I/O reduction, the rest
+/// at their defaults). Names are unique; `bbsim list` prints them.
+std::vector<SystemConfig> all();
 
 }  // namespace presets
 

@@ -3,6 +3,9 @@
 // self-describing names, and a raw FaultConfig / callable must compose.
 
 #include <gtest/gtest.h>
+#include <set>
+#include <stdexcept>
+#include <string>
 
 #include "scenario/config.hpp"
 
@@ -10,19 +13,33 @@ namespace bb::scenario {
 namespace {
 
 TEST(Overlays, PresetEqualsBaselinePlusOverlay) {
-  const SystemConfig via_preset = presets::genz_switch(30.0);
-  const SystemConfig via_overlay =
-      presets::thunderx2_cx4().with(overlays::genz_switch(30.0));
-  EXPECT_EQ(via_preset.name, via_overlay.name);
-  EXPECT_EQ(via_preset.name, "genz-switch");
-  EXPECT_EQ(via_preset.net.switch_latency_ns,
-            via_overlay.net.switch_latency_ns);
+  // Every named machine but the testbed is the testbed plus one overlay,
+  // named by that overlay's label: ten distinct, uncomposed names.
+  const SystemConfig base = presets::thunderx2_cx4();
+  const auto all = presets::all();
+  std::set<std::string> names;
+  for (const auto& c : all) {
+    EXPECT_EQ(c.name.find('+'), std::string::npos) << c.name;
+    names.insert(c.name);
+  }
+  EXPECT_EQ(names.size(), 10u);
+  auto named = [&](const std::string& name) -> const SystemConfig& {
+    for (const auto& c : all) {
+      if (c.name == name) return c;
+    }
+    throw std::runtime_error("no preset " + name);
+  };
+  const SystemConfig genz = base.with(overlays::genz_switch(30.0));
+  EXPECT_EQ(genz.name, "genz-switch");
+  EXPECT_EQ(named("genz-switch").net.switch_latency_ns,
+            genz.net.switch_latency_ns);
 
-  const SystemConfig tso = presets::tso_cpu();
-  const SystemConfig tso_o = presets::thunderx2_cx4().with(overlays::tso_cpu());
-  EXPECT_EQ(tso.name, tso_o.name);
-  EXPECT_EQ(tso.cpu.barrier_store_md.mean_ns,
-            tso_o.cpu.barrier_store_md.mean_ns);
+  const SystemConfig tso = base.with(overlays::tso_cpu());
+  EXPECT_EQ(tso.name, "tso-cpu");
+  EXPECT_EQ(named("tso-cpu").cpu.barrier_store_md.mean_ns,
+            tso.cpu.barrier_store_md.mean_ns);
+  EXPECT_EQ(named("deterministic").cpu.pio_copy_64b.cv,
+            presets::deterministic().cpu.pio_copy_64b.cv);
 }
 
 TEST(Overlays, ComposeLeftToRightAndRecordNames) {
@@ -68,7 +85,7 @@ TEST(Overlays, WithDoesNotMutateTheSource) {
 TEST(Overlays, FaultyTestbedPresetWiresFaults) {
   fault::FaultConfig f;
   f.updatefc_drop_prob = 0.25;
-  const SystemConfig c = presets::faulty_testbed(f);
+  const SystemConfig c = presets::thunderx2_cx4().with(overlays::faults(f));
   EXPECT_TRUE(c.fault.enabled());
   EXPECT_NEAR(c.fault.updatefc_drop_prob, 0.25, 1e-15);
 }

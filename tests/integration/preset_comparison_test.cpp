@@ -11,6 +11,11 @@
 namespace bb {
 namespace {
 
+/// The paper's testbed under one §7 overlay, without CPU jitter.
+scenario::SystemConfig jitter_free(const scenario::overlays::Overlay& o) {
+  return scenario::presets::deterministic().with(o);
+}
+
 double am_latency(const scenario::SystemConfig& cfg) {
   scenario::Testbed tb(cfg);
   bench::AmLatBenchmark b(tb, {.iterations = 300,
@@ -22,56 +27,53 @@ double am_latency(const scenario::SystemConfig& cfg) {
 
 TEST(PresetComparison, IntegratedNicBeatsBaseline) {
   const double base = am_latency(scenario::presets::deterministic());
-  auto soc = scenario::presets::integrated_nic(0.5);
-  soc.cpu.strip_jitter();
-  const double fast = am_latency(soc);
+  const double fast =
+      am_latency(jitter_free(scenario::overlays::integrated_nic(0.5)));
   // ~50% of the ~513 ns I/O disappears from the one-way path.
   EXPECT_LT(fast, base - 200.0);
 }
 
 TEST(PresetComparison, FastDeviceMemoryShavesPioCopy) {
   const double base = am_latency(scenario::presets::deterministic());
-  auto fast_cfg = scenario::presets::fast_device_memory(15.0);
-  fast_cfg.cpu.strip_jitter();
-  const double fast = am_latency(fast_cfg);
+  const double fast =
+      am_latency(jitter_free(scenario::overlays::fast_device_memory(15.0)));
   EXPECT_NEAR(base - fast, 94.25 - 15.0, 3.0);
 }
 
 TEST(PresetComparison, GenZSwitchShaves78ns) {
   const double base = am_latency(scenario::presets::deterministic());
-  auto genz = scenario::presets::genz_switch(30.0);
-  genz.cpu.strip_jitter();
-  EXPECT_NEAR(base - am_latency(genz), 108.0 - 30.0, 2.0);
+  const double genz =
+      am_latency(jitter_free(scenario::overlays::genz_switch(30.0)));
+  EXPECT_NEAR(base - genz, 108.0 - 30.0, 2.0);
 }
 
 TEST(PresetComparison, Pam4WireIsSlowerForSmallMessages) {
   // §7.2: higher-throughput signalling *increases* small-message latency
   // (FEC adds up to 300 ns).
   const double base = am_latency(scenario::presets::deterministic());
-  auto pam4 = scenario::presets::pam4_fec_wire(300.0);
-  pam4.cpu.strip_jitter();
-  EXPECT_NEAR(am_latency(pam4) - base, 300.0, 5.0);
+  const double pam4 =
+      am_latency(jitter_free(scenario::overlays::pam4_fec_wire(300.0)));
+  EXPECT_NEAR(pam4 - base, 300.0, 5.0);
 }
 
 TEST(PresetComparison, TofuDLikeRemovesRoughly400ns) {
   // §7.1: Tofu-D's integration improved RDMA-write latency by ~400 ns.
   const double base = am_latency(scenario::presets::deterministic());
-  auto tofu = scenario::presets::tofu_d_like();
-  tofu.cpu.strip_jitter();
-  EXPECT_NEAR(base - am_latency(tofu), 400.0, 50.0);
+  const double tofu =
+      am_latency(jitter_free(scenario::overlays::tofu_d_like()));
+  EXPECT_NEAR(base - tofu, 400.0, 50.0);
 }
 
 TEST(PresetComparison, OrderingMatchesWhatIfRanking) {
   // The engine ranks: integrated-NIC > fast-PIO > Gen-Z switch for
   // latency; the executed machines must agree.
   const double base = am_latency(scenario::presets::deterministic());
-  auto mk = [](scenario::SystemConfig cfg) {
-    cfg.cpu.strip_jitter();
-    return cfg;
-  };
-  const double soc = am_latency(mk(scenario::presets::integrated_nic(0.5)));
-  const double pio = am_latency(mk(scenario::presets::fast_device_memory()));
-  const double genz = am_latency(mk(scenario::presets::genz_switch()));
+  const double soc =
+      am_latency(jitter_free(scenario::overlays::integrated_nic(0.5)));
+  const double pio =
+      am_latency(jitter_free(scenario::overlays::fast_device_memory()));
+  const double genz =
+      am_latency(jitter_free(scenario::overlays::genz_switch()));
   EXPECT_LT(soc, pio);
   EXPECT_LT(pio, genz);
   EXPECT_LT(genz, base);

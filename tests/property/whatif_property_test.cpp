@@ -51,7 +51,8 @@ TEST_P(WhatIfSweep, IntegratedNicPresetMatchesPrediction) {
   const WhatIf w(base);
 
   const auto soc = ComponentTable::from_config(
-      scenario::presets::integrated_nic(reduction));
+      scenario::presets::thunderx2_cx4().with(
+          scenario::overlays::integrated_nic(reduction)));
   const double base_lat = LatencyModel(base).e2e_latency_ns();
   const double new_lat = LatencyModel(soc).e2e_latency_ns();
 
@@ -108,6 +109,56 @@ TEST(WhatIfPanels, InjectionComponentsNestCorrectly) {
                     curve("LLP_tx_prog").speedups[i],
                 1e-12);
   }
+}
+
+TEST(WhatIfPanels, EveryListRowMatchesThePanelRowsWithItsLabel) {
+  // The panels and `bbsim whatif` read one component list: wherever a
+  // panel plots a row's label, it plots that row's ns for the panel's
+  // metric, and a row is plotted exactly where its panel bits say.
+  for (const auto& t : {ComponentTable::paper(),
+                        ComponentTable::from_config(
+                            scenario::presets::thunderx2_cx4())}) {
+    const WhatIf w(t);
+    const WhatIfPanel panels[] = {w.injection_cpu(), w.latency_cpu(),
+                                  w.latency_io(), w.latency_network()};
+    for (const auto& row : w.components()) {
+      for (unsigned i = 0; i < 4; ++i) {
+        const Metric m = i == 0 ? Metric::kInjection : Metric::kLatency;
+        int seen = 0;
+        for (const auto& curve : panels[i].curves) {
+          if (curve.component != row.label) continue;
+          ++seen;
+          EXPECT_EQ(curve.component_ns, row.ns(m)) << row.key << " in " << i;
+        }
+        EXPECT_EQ(seen, (row.panels >> i) & 1u) << row.key << " in " << i;
+        if (seen) {
+          EXPECT_GT(row.ns(m), 0.0) << row.key;
+        }
+      }
+    }
+  }
+}
+
+TEST(WhatIfPanels, SpotChecksAreListLookups) {
+  const auto t = ComponentTable::from_config(
+      scenario::presets::thunderx2_cx4());
+  const WhatIf w(t);
+  const double inj = w.base_ns(Metric::kInjection);
+  const double lat = w.base_ns(Metric::kLatency);
+  // Eq. 2 holds LLP_prog only as its per-op share LLP_prog / c.
+  EXPECT_EQ(w.find("llp_prog")->injection_ns, t.llp_tx_prog());
+  EXPECT_EQ(w.find("llp_prog")->latency_ns, t.llp_prog);
+  EXPECT_NEAR(w.speedup_of("llp_prog", Metric::kInjection, 0.5) * 100.0, 0.18,
+              0.005);
+  EXPECT_EQ(w.hlp_injection_speedup(0.2),
+            WhatIf::speedup(t.hlp_post() + t.hlp_tx_prog, 0.2, inj));
+  EXPECT_EQ(w.llp_injection_speedup(0.2),
+            WhatIf::speedup(t.llp_post() + t.llp_tx_prog(), 0.2, inj));
+  EXPECT_EQ(w.integrated_nic_latency_speedup(0.5),
+            WhatIf::speedup(2.0 * t.pcie + t.rc_to_mem_8b, 0.5, lat));
+  EXPECT_NEAR(w.hlp_injection_speedup(0.2) * 100.0, 6.45, 0.005);
+  EXPECT_NEAR(w.llp_injection_speedup(0.2) * 100.0, 13.31, 0.005);
+  EXPECT_EQ(w.find("nosuch"), nullptr);
 }
 
 }  // namespace

@@ -62,12 +62,7 @@ TEST(MpiStack, BundlesFullStack) {
 
 TEST(Testbed, RdmaWriteSmokeAcrossAllPresets) {
   // Every preset must produce a working machine end to end.
-  for (auto cfg :
-       {presets::thunderx2_cx4(), presets::integrated_nic(0.5),
-        presets::fast_device_memory(), presets::genz_switch(),
-        presets::pam4_fec_wire(), presets::tofu_d_like(),
-        presets::doorbell_dma_path(), presets::unsignaled_completions(),
-        presets::deterministic()}) {
+  for (const auto& cfg : presets::all()) {
     Testbed tb(cfg);
     auto& ep = tb.add_endpoint(0);
     tb.sim().spawn([](Testbed& t, llp::Endpoint& e) -> sim::Task<void> {

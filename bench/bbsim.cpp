@@ -23,7 +23,8 @@
 // bytes are plain positive integers; anything else exits 2.
 //
 // The model column is Table 1's analytical model, which describes the
-// PIO+inline descriptor path only; on any other machine it reads n/a.
+// PIO+inline descriptor path only; on any other machine it reads n/a, as
+// does put_bw's (Eq. 1) on a machine that does not signal every op.
 
 #include <charconv>
 #include <cmath>
@@ -194,8 +195,11 @@ SweepRow run_metric(const std::string& metric,
     bench::PutBwBenchmark b(tb, {.messages = n, .warmup = n / 10});
     const auto res = b.run();
     const auto s = res.nic_deltas.summarize();
+    // Eq. 1 describes the loop that signals every op.
     const auto model =
-        model_if(core::InjectionModel(table).llp_injection_ns());
+        cfg.endpoint.signal_period == 1
+            ? model_if(core::InjectionModel(table).llp_injection_ns())
+            : std::nullopt;
     if (report) {
       std::printf("put_bw on %s: %llu msgs\n", name,
                   static_cast<unsigned long long>(res.messages));

@@ -29,10 +29,10 @@ int bbench::ablation_completion(const Args& args) {
   const auto res = exec::run_sweep(
       sweep,
       [](std::uint32_t c, exec::Job&) {
-        scenario::Testbed tb(scenario::presets::thunderx2_cx4());
-        bench::OsuMessageRate b(tb, {.windows = 150,
-                                     .warmup_windows = 15,
-                                     .signal_period = c});
+        scenario::SystemConfig cfg = scenario::presets::thunderx2_cx4();
+        cfg.ucp.signal_period = c;
+        scenario::Testbed tb(cfg);
+        bench::OsuMessageRate b(tb, {.windows = 150, .warmup_windows = 15});
         const auto r = b.run();
         return Point{r.cpu_per_msg_ns,
                      static_cast<double>(tb.node(0).nic.cqes_written()) /

@@ -25,17 +25,12 @@ constexpr int kIters = 300;
 
 /// One-way latency of `bytes` MPI messages under the given threshold.
 double one_way_ns(std::uint32_t bytes, std::uint32_t rndv_threshold) {
-  Testbed tb(scenario::presets::thunderx2_cx4());
+  scenario::SystemConfig cfg = scenario::presets::thunderx2_cx4();
+  cfg.ucp.rndv_threshold = rndv_threshold;
+  Testbed tb(cfg);
   tb.analyzer().set_enabled(false);
-  // Build the UCP workers with an explicit threshold.
-  llp::EndpointConfig ec = tb.config().endpoint;
-  ec.signal.period = 64;
-  auto& ep_a = tb.add_endpoint(0, ec);
-  auto& ep_b = tb.add_endpoint(1, ec);
-  hlp::UcpWorker ucp_a(tb.node(0).worker, ep_a, {rndv_threshold});
-  hlp::UcpWorker ucp_b(tb.node(1).worker, ep_b, {rndv_threshold});
-  hlp::MpiComm mpi_a(ucp_a);
-  hlp::MpiComm mpi_b(ucp_b);
+  MpiStack a(tb, 0);
+  MpiStack b(tb, 1);
   tb.node(0).nic.post_receives(4 * kIters + 16);
   tb.node(1).nic.post_receives(4 * kIters + 16);
 
@@ -50,7 +45,7 @@ double one_way_ns(std::uint32_t bytes, std::uint32_t rndv_threshold) {
       co_await mpi.wait(rr);
     }
     res = (core.virtual_now().to_ns() - t0) / (2.0 * kIters);
-  }(mpi_a, tb.node(0).core, bytes, out));
+  }(a.mpi(), tb.node(0).core, bytes, out));
   tb.sim().spawn([](hlp::MpiComm& mpi, std::uint32_t n) -> sim::Task<void> {
     for (int i = 0; i < kIters; ++i) {
       hlp::Request* rr = mpi.irecv(n).value();
@@ -58,7 +53,7 @@ double one_way_ns(std::uint32_t bytes, std::uint32_t rndv_threshold) {
       hlp::Request* s = (co_await mpi.isend(n)).value();
       co_await mpi.wait(s);
     }
-  }(mpi_b, bytes));
+  }(b.mpi(), bytes));
   tb.sim().run();
   return out;
 }

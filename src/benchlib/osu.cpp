@@ -5,7 +5,7 @@
 namespace bb::bench {
 
 OsuMessageRate::OsuMessageRate(scenario::Testbed& tb, OsuMessageRateConfig cfg)
-    : tb_(tb), cfg_(cfg), stack_(tb, 0, cfg.signal_period) {
+    : tb_(tb), cfg_(cfg), stack_(tb, 0) {
   // The target keeps receives pre-posted; with the sync removed it is a
   // passive sink (§6's footnote ‡).
   tb_.node(1).nic.post_receives(static_cast<std::uint32_t>(
@@ -57,8 +57,8 @@ InjectionResult OsuMessageRate::run() {
 OsuLatency::OsuLatency(scenario::Testbed& tb, OsuLatencyConfig cfg)
     : tb_(tb),
       cfg_(cfg),
-      a_(tb, 0, cfg.signal_period),
-      b_(tb, 1, cfg.signal_period) {
+      a_(tb, 0),
+      b_(tb, 1) {
   const auto msgs =
       static_cast<std::uint32_t>(cfg_.warmup + cfg_.iterations + 2);
   tb_.node(0).nic.post_receives(msgs);

@@ -19,8 +19,6 @@ struct OsuMessageRateConfig {
   std::uint32_t window_size = 64;
   std::uint64_t warmup_windows = 30;
   std::uint32_t bytes = 8;
-  /// UCX's unsignalled-completion period (§6: c = 64).
-  std::uint32_t signal_period = 64;
   double speed_factor = 1.007;
   bool capture_trace = false;
 };
@@ -45,7 +43,6 @@ struct OsuLatencyConfig {
   std::uint64_t iterations = 4000;
   std::uint64_t warmup = 400;
   std::uint32_t bytes = 8;
-  std::uint32_t signal_period = 64;
   /// MPI loops have a larger instruction footprint than the UCT loop;
   /// the hot-loop gap vs. profiled means is stronger (§6: observed 1336
   /// sits 3.7% below the modelled 1387).

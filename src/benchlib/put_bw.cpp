@@ -39,7 +39,7 @@ sim::Task<void> PutBwBenchmark::driver() {
 
   // Ops posted after the last signalled one get no CQE of their own
   // (moderated completions): a flush retires them.
-  if (ep_.posted() % ep_.config().signal.period != 0) {
+  if (ep_.posted() % ep_.config().signal_period != 0) {
     while (co_await ep_.flush() == llp::Status::kNoResource) {
       co_await node.worker.progress(1);
     }

@@ -6,8 +6,6 @@ namespace bb::coll {
 
 namespace {
 
-/// One CQE per this many sends (UCX's unsignalled-completion default).
-constexpr std::uint32_t kSignalPeriod = 64;
 /// Receive WQEs pre-posted per node (collectives keep the RQ fed the way
 /// MPI implementations do).
 constexpr std::uint32_t kPrepostedReceives = 1u << 16;
@@ -20,20 +18,12 @@ Communicator::Communicator(World& world, scenario::Testbed& tb, int rank)
       rank_(rank),
       size_(tb.node_count()),
       mux_(node_.worker) {
-  ucp_.resize(static_cast<std::size_t>(size_));
-  mpi_.resize(static_cast<std::size_t>(size_));
+  stacks_.resize(static_cast<std::size_t>(size_));
   for (int peer = 0; peer < size_; ++peer) {
     if (peer == rank_) continue;
-    llp::EndpointConfig ec = tb.config().endpoint;
-    ec.signal.period = kSignalPeriod;
-    llp::Endpoint& ep = tb.add_endpoint(rank_, peer, ec);
-    hlp::UcpConfig uc;  // default rndv_threshold, as model::PtPtModel reads
-    uc.src_rank = rank_;
-    auto ucp = std::make_unique<hlp::UcpWorker>(node_.worker, ep, uc);
-    mux_.attach(peer, ucp.get());
-    mpi_[static_cast<std::size_t>(peer)] =
-        std::make_unique<hlp::MpiComm>(*ucp);
-    ucp_[static_cast<std::size_t>(peer)] = std::move(ucp);
+    scenario::MpiStack& s =
+        stacks_[static_cast<std::size_t>(peer)].emplace(tb, rank_, peer);
+    mux_.attach(peer, &s.ucp());
   }
 }
 
@@ -47,13 +37,12 @@ sim::Task<hlp::Request*> Communicator::isend(int peer, std::uint32_t bytes,
   world_.deliver(rank_, peer, std::move(data));
   ++isends_;
   common::Expected<hlp::Request*> r =
-      co_await mpi_[static_cast<std::size_t>(peer)]->isend(bytes);
+      co_await stack(peer).mpi().isend(bytes);
   co_return r.value();
 }
 
 hlp::Request* Communicator::irecv(int peer, std::uint32_t bytes) {
-  BB_ASSERT(peer >= 0 && peer < size_ && peer != rank_);
-  return mpi_[static_cast<std::size_t>(peer)]->irecv(bytes).value();
+  return stack(peer).mpi().irecv(bytes).value();
 }
 
 std::vector<double> Communicator::take_data(int peer) {
@@ -67,12 +56,12 @@ sim::Task<std::uint32_t> Communicator::progress() {
   // the state machines those completions unblocked.
   cpu::Core& c = core();
   c.consume(c.costs().ucp_progress_iter);
-  for (auto& u : ucp_) {
-    if (u && u->has_pending_work()) co_await u->progress_pending();
+  for (auto& s : stacks_) {
+    if (s && s->ucp().has_pending_work()) co_await s->ucp().progress_pending();
   }
   const std::uint32_t n = co_await node_.worker.progress();
-  for (auto& u : ucp_) {
-    if (u && u->has_pending_work()) co_await u->progress_pending();
+  for (auto& s : stacks_) {
+    if (s && s->ucp().has_pending_work()) co_await s->ucp().progress_pending();
   }
   co_return n;
 }
@@ -84,8 +73,8 @@ TimePs Communicator::watchdog_deadline() {
 }
 
 bool Communicator::has_pending_work() const {
-  for (const auto& u : ucp_) {
-    if (u && u->has_pending_work()) return true;
+  for (const auto& s : stacks_) {
+    if (s && s->ucp().has_pending_work()) return true;
   }
   return false;
 }

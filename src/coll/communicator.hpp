@@ -4,7 +4,7 @@
 // The machine gives every rank one node (core, host memory, PCIe, NIC) and
 // one LLP worker; the pt2pt stack above it (UcpWorker -> MpiComm) models
 // protocol state toward exactly one peer. A Communicator therefore owns
-// one full per-peer stack per remote rank, all demultiplexed over the
+// one scenario::MpiStack per remote rank, all demultiplexed over the
 // node's single RX CQ by an hlp::RxMux keyed on the source rank stamped
 // into message headers, and provides the MPI-style progress engine that
 // drives *all* of the rank's peers while blocked -- without it, a
@@ -20,10 +20,12 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "hlp/mpi.hpp"
+#include "common/assert.hpp"
 #include "hlp/mux.hpp"
+#include "scenario/mpi_stack.hpp"
 #include "scenario/testbed.hpp"
 
 namespace bb::coll {
@@ -61,6 +63,11 @@ class Communicator {
   bool has_pending_work() const;
   /// The node's LLP worker, shared by every peer stack.
   llp::Worker& uct_worker() { return node_.worker; }
+  /// The pt2pt stack toward `peer`.
+  scenario::MpiStack& stack(int peer) {
+    BB_ASSERT(peer >= 0 && peer < size_ && peer != rank_);
+    return *stacks_[static_cast<std::size_t>(peer)];
+  }
 
   std::uint64_t isends() const { return isends_; }
   std::uint64_t waits() const { return waits_; }
@@ -79,8 +86,7 @@ class Communicator {
   int size_;
   hlp::RxMux mux_;
   // Indexed by peer rank; the self slot stays empty.
-  std::vector<std::unique_ptr<hlp::UcpWorker>> ucp_;
-  std::vector<std::unique_ptr<hlp::MpiComm>> mpi_;
+  std::vector<std::optional<scenario::MpiStack>> stacks_;
   std::uint64_t isends_ = 0;
   std::uint64_t waits_ = 0;
 };

@@ -37,8 +37,6 @@ enum class Status : std::uint8_t {
   kTimedOut,
 };
 
-inline bool is_ok(Status s) { return s == Status::kOk; }
-
 inline std::string to_string(Status s) {
   switch (s) {
     case Status::kOk:

@@ -34,7 +34,6 @@ class TimePs {
 
   constexpr std::int64_t ps() const { return ps_; }
   constexpr double to_ns() const { return static_cast<double>(ps_) / 1000.0; }
-  constexpr double to_us() const { return to_ns() / 1e3; }
 
   constexpr auto operator<=>(const TimePs&) const = default;
 

@@ -63,7 +63,7 @@ ComponentTable ComponentTable::from_config(const scenario::SystemConfig& cfg) {
   t.ucp_wait_total = c.ucp_progress_iter.mean_ns + c.ucp_rx_callback.mean_ns;
   t.hlp_tx_prog = c.hlp_tx_prog.mean_ns;
   t.misc_overall_inj = 3.17;  // busy-post average; emergent in the sim
-  t.completion_period = 64;
+  t.completion_period = cfg.ucp.signal_period;
   return t;
 }
 

@@ -46,8 +46,8 @@ struct ComponentTable {
   double hlp_tx_prog = 0;       // per-op send-progress overhead (HLP share)
   double misc_overall_inj = 0;  // busy posts amortized per op (§6)
 
-  /// Unsignalled-completion period c (§6; UCX default 64).
-  double completion_period = 64;
+  /// Unsignalled-completion period c of the MPI stack (§6).
+  double completion_period = 1;
 
   // --- Derived quantities ---
   double llp_post() const {

@@ -20,7 +20,6 @@ void FaultStats::merge(const FaultStats& o) {
   poisoned_delivered += o.poisoned_delivered;
   error_cqes += o.error_cqes;
   read_retries += o.read_retries;
-  busy_post_retries += o.busy_post_retries;
 }
 
 std::string FaultStats::render(const std::string& title) const {
@@ -43,7 +42,6 @@ std::string FaultStats::render(const std::string& title) const {
   row("Poisoned writes delivered", poisoned_delivered);
   row("Error CQEs", error_cqes);
   row("NIC DMA-read retries", read_retries);
-  row("Busy-post retries", busy_post_retries);
   return t.render();
 }
 

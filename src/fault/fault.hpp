@@ -162,7 +162,6 @@ struct FaultStats {
   std::uint64_t poisoned_delivered = 0; // poisoned writes reaching host memory
   std::uint64_t error_cqes = 0;         // completions-with-error generated
   std::uint64_t read_retries = 0;       // NIC DMA reads reissued
-  std::uint64_t busy_post_retries = 0;  // endpoint-level post retries
 
   std::uint64_t injected() const {
     return tlps_corrupted + tlps_dropped + acks_dropped + updatefc_dropped;

@@ -5,8 +5,8 @@
 // protocol state toward exactly one peer. The mux claims the worker's RX
 // handler (from each UcpWorker, which claims it on construction) and
 // routes each completion to the UcpWorker registered for the
-// source rank stamped in the message header (UcpConfig::src_rank on the
-// sending side). This is how a real UCP worker fans one CQ out over many
+// source rank stamped in the message header (the sending UcpWorker's
+// src_rank). This is how a real UCP worker fans one CQ out over many
 // connected endpoints' matching state.
 
 #include <vector>
@@ -24,7 +24,7 @@ class RxMux {
 
   /// Routes messages whose header carries `src_rank` to `ucp`, and takes
   /// the RX handler back from it. Every sender into this node must be
-  /// tagged (UcpConfig::src_rank >= 0).
+  /// tagged (src_rank >= 0).
   void attach(int src_rank, UcpWorker* ucp) {
     BB_ASSERT(src_rank >= 0 && ucp != nullptr);
     worker_.set_rx_handler([this](const nic::Cqe& cqe) { route(cqe); });

@@ -5,8 +5,11 @@
 namespace bb::hlp {
 
 UcpWorker::UcpWorker(llp::Worker& uct_worker, llp::Endpoint& endpoint,
-                     UcpConfig cfg)
-    : uct_worker_(uct_worker), endpoint_(endpoint), cfg_(cfg) {
+                     UcpConfig cfg, int src_rank)
+    : uct_worker_(uct_worker),
+      endpoint_(endpoint),
+      cfg_(cfg),
+      src_rank_(src_rank) {
   uct_worker_.set_rx_handler(
       [this](const nic::Cqe& cqe) { on_rx_completion(cqe); });
 }
@@ -25,7 +28,7 @@ sim::Task<common::Status> UcpWorker::try_post(Request* req) {
   // Tagged (multi-peer) mode stamps the source rank so the receiver's
   // RxMux can route; untagged eager messages keep the legacy user_data 0.
   const std::uint64_t ud =
-      cfg_.src_rank < 0 ? 0 : header(Ctrl::kEager, 0, req->bytes);
+      src_rank_ < 0 ? 0 : header(Ctrl::kEager, 0, req->bytes);
   const llp::Status st = co_await endpoint_.am_short(req->bytes, ud);
   if (st == llp::Status::kOk) {
     // Inlined short send: locally complete once the payload left the CPU.

@@ -28,22 +28,27 @@
 
 namespace bb::hlp {
 
+/// The UCP settings of an MPI stack (scenario::SystemConfig::ucp holds
+/// the machine's; scenario::MpiStack applies them).
 struct UcpConfig {
+  /// Every `signal_period`-th send is signalled; its CQE retires the
+  /// whole batch. UCX's unsignalled-completion default, c = 64 (§6, [14]).
+  /// Applied to the stack's endpoint (llp::EndpointConfig::signal_period).
+  std::uint32_t signal_period = 64;
   /// Messages of at least this size use the rendezvous protocol
   /// (RTS -> CTS -> one-sided data put -> FIN) instead of the eager
   /// inline path; the payload crosses the wire exactly once, at the cost
   /// of an extra control round trip. UCX-like default.
   std::uint32_t rndv_threshold = 1024;
-  /// Source rank stamped into every outgoing message header so a
-  /// receiving node with several peers can demultiplex (RxMux). -1 keeps
-  /// the legacy two-node wire format: eager messages carry user_data 0.
-  int src_rank = -1;
 };
 
 class UcpWorker {
  public:
+  /// `src_rank` is stamped into every outgoing message header so a
+  /// receiving node with several peers can demultiplex (RxMux). -1 keeps
+  /// the legacy two-node wire format: eager messages carry user_data 0.
   UcpWorker(llp::Worker& uct_worker, llp::Endpoint& endpoint,
-            UcpConfig cfg = {});
+            UcpConfig cfg, int src_rank);
 
   cpu::Core& core() { return uct_worker_.core(); }
   llp::Endpoint& endpoint() { return endpoint_; }
@@ -105,7 +110,7 @@ class UcpWorker {
   enum class Ctrl : std::uint64_t { kEager = 0, kRts = 1, kCts = 2, kFin = 3 };
   std::uint64_t header(Ctrl c, std::uint64_t seq, std::uint32_t bytes) const {
     const std::uint64_t src =
-        cfg_.src_rank < 0 ? 0 : static_cast<std::uint64_t>(cfg_.src_rank) + 1;
+        src_rank_ < 0 ? 0 : static_cast<std::uint64_t>(src_rank_) + 1;
     return (static_cast<std::uint64_t>(c) << 62) | (src << 56) |
            ((seq & 0xFFFFFFull) << 32) | bytes;
   }
@@ -129,6 +134,7 @@ class UcpWorker {
   llp::Worker& uct_worker_;
   llp::Endpoint& endpoint_;
   UcpConfig cfg_;
+  int src_rank_;
   std::function<void(Request*)> upper_rx_cb_;
 
   std::deque<std::unique_ptr<Request>> requests_;  // stable ownership

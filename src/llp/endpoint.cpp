@@ -14,7 +14,7 @@ Endpoint::Endpoint(Worker& worker, pcie::RootComplex& rc, EndpointConfig cfg,
   // descriptor is signalled, so no CQE is ever generated and every later
   // post busy-loops forever -- the same deadlock a real mlx5 queue pair
   // would exhibit. Reject the configuration up front.
-  BB_ASSERT_MSG(cfg_.signal.period <= cfg_.txq_depth,
+  BB_ASSERT_MSG(cfg_.signal_period <= cfg_.txq_depth,
                 "unsignalled-completion period must not exceed TxQ depth");
   // Registered-memory payload region: disjoint per QP so concurrent DMA
   // payload fetches from different endpoints never alias.
@@ -29,36 +29,6 @@ sim::Task<Status> Endpoint::put_short(std::uint32_t bytes) {
 sim::Task<Status> Endpoint::am_short(std::uint32_t bytes,
                                      std::uint64_t user_data) {
   return post(pcie::WireOp::kSend, bytes, /*force_signal=*/false, user_data);
-}
-
-sim::Task<Status> Endpoint::put_short_retry(std::uint32_t bytes) {
-  return post_retrying(pcie::WireOp::kRdmaWrite, bytes, 0);
-}
-
-sim::Task<Status> Endpoint::am_short_retry(std::uint32_t bytes,
-                                           std::uint64_t user_data) {
-  return post_retrying(pcie::WireOp::kSend, bytes, user_data);
-}
-
-sim::Task<Status> Endpoint::post_retrying(pcie::WireOp op, std::uint32_t bytes,
-                                          std::uint64_t user_data) {
-  // Exponential backoff between fruitless progress passes: under faults
-  // the freeing CQE waits on a replay timer, so spinning at poll speed
-  // would charge millions of empty passes to the core.
-  double backoff_ns = 0.0;
-  for (;;) {
-    const Status st = co_await post(op, bytes, /*force_signal=*/false,
-                                    user_data);
-    if (st != Status::kNoResource) co_return st;
-    worker_.note_busy_post_retry();
-    const std::uint32_t progressed = co_await worker_.progress();
-    if (progressed > 0) {
-      backoff_ns = 0.0;
-      continue;
-    }
-    backoff_ns = backoff_ns == 0.0 ? 50.0 : std::min(backoff_ns * 2.0, 4000.0);
-    co_await worker_.core().simulator().delay(TimePs::from_ns(backoff_ns));
-  }
 }
 
 sim::Task<Status> Endpoint::flush() {
@@ -110,7 +80,7 @@ sim::Task<Status> Endpoint::post(pcie::WireOp op, std::uint32_t bytes,
   md.payload_bytes = bytes;
   md.inline_payload = cfg_.inline_payload && bytes <= cfg_.max_inline_bytes;
   ++signal_counter_;
-  md.signaled = force_signal || (signal_counter_ % cfg_.signal.period) == 0;
+  md.signaled = force_signal || (signal_counter_ % cfg_.signal_period) == 0;
 
   if (!md.inline_payload) {
     // The payload stays in registered memory; give it its address before

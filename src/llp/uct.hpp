@@ -2,8 +2,6 @@
 // Common types of the low-level communication protocol (LLP), a UCT-like
 // transport interface (§4).
 
-#include <cstdint>
-
 #include "common/status.hpp"
 
 namespace bb::llp {
@@ -13,13 +11,5 @@ namespace bb::llp {
 /// kIoError surfaces a completion-with-error generated by the NIC after
 /// exhausted link-level recovery.
 using Status = common::Status;
-
-/// How descriptors request completions.
-struct SignalPolicy {
-  /// Every `period`-th descriptor is signalled; its CQE retires the whole
-  /// batch. 1 = every message signalled (the UCX perftest configuration);
-  /// 64 = UCX's unsignalled-completion default (§6, [14]).
-  std::uint32_t period = 1;
-};
 
 }  // namespace bb::llp

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "cpu/core.hpp"
-#include "fault/fault.hpp"
 #include "nic/queues.hpp"
 #include "prof/profiler.hpp"
 #include "sim/simulator.hpp"
@@ -85,13 +84,6 @@ class Worker {
   /// ops that never failed themselves but lost their QP underneath them.
   std::uint64_t flushed_completions() const { return flushed_completions_; }
 
-  /// Shared fault-stat accumulator (wired by the testbed when fault
-  /// injection is enabled).
-  void set_fault_stats(fault::FaultStats* s) { fault_stats_ = s; }
-  void note_busy_post_retry() {
-    if (fault_stats_) ++fault_stats_->busy_post_retries;
-  }
-
  private:
   // An endpoint and its TX CQ (std::map nodes are stable, so the ring
   // pointer outlives every later insertion).
@@ -116,7 +108,6 @@ class Worker {
   std::uint64_t rx_completions_ = 0;
   std::uint64_t error_completions_ = 0;
   std::uint64_t flushed_completions_ = 0;
-  fault::FaultStats* fault_stats_ = nullptr;
 };
 
 class Worker::IdleAwaiter final : public sim::Waiter {

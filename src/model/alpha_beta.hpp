@@ -28,8 +28,8 @@ namespace bb::model {
 /// Piecewise one-way pt2pt timing decomposition.
 class PtPtModel {
  public:
-  /// Protocol regimes switch at UCP's default rendezvous threshold, the
-  /// one coll::World's stacks use.
+  /// Protocol regimes switch at `cfg.ucp.rndv_threshold`, the one every
+  /// scenario::MpiStack on `cfg` uses.
   explicit PtPtModel(const scenario::SystemConfig& cfg) : cfg_(cfg) {}
 
   /// Sender CPU until MPI_Isend returns (alpha_s of the alpha-beta view).

@@ -1,7 +1,6 @@
 #include "net/fabric.hpp"
 
 #include "common/assert.hpp"
-#include "common/table.hpp"
 
 namespace bb::net {
 
@@ -25,35 +24,6 @@ void TransportStats::merge(const TransportStats& o) {
   qp_errors += o.qp_errors;
   qp_recoveries += o.qp_recoveries;
   flushed_wqes += o.flushed_wqes;
-}
-
-std::string TransportStats::render(const std::string& title) const {
-  TextTable t({title, "count"});
-  auto row = [&](const char* name, std::uint64_t v) {
-    t.add_row({name, std::to_string(v)});
-  };
-  row("Packets sent", packets_sent);
-  row("  of which data", data_packets_sent);
-  row("Packets delivered", packets_delivered);
-  row("Packets dropped", packets_dropped);
-  row("Packets corrupted", packets_corrupted);
-  row("Packets duplicated", packets_duplicated);
-  row("Packets reordered", packets_reordered);
-  t.add_rule();
-  row("Data retransmits", retransmits);
-  row("ACKs sent", acks_sent);
-  row("ACKs received", acks_received);
-  row("NAKs sent", naks_sent);
-  row("NAKs received", naks_received);
-  row("RNR NAKs sent", rnr_naks_sent);
-  row("RNR NAKs received", rnr_naks_received);
-  row("Duplicate PSNs discarded", duplicates_discarded);
-  row("Retry-timer expiries", retry_timer_firings);
-  t.add_rule();
-  row("QP errors", qp_errors);
-  row("QP recoveries", qp_recoveries);
-  row("WQEs flushed with error", flushed_wqes);
-  return t.render();
 }
 
 Fabric::Fabric(sim::Simulator& sim, NetParams params, int node_count,

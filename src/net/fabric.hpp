@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "common/units.hpp"
@@ -85,8 +84,6 @@ struct TransportStats {
   std::uint64_t flushed_wqes = 0;         // WQEs retired as error CQEs
 
   void merge(const TransportStats& o);
-  /// Two-column table for reports (bb::prof attaches this to its output).
-  std::string render(const std::string& title = "Transport stats") const;
 };
 
 /// Switched fabric between `node_count` NICs (the paper's testbed has

@@ -70,7 +70,7 @@ Overlay doorbell_dma() {
 
 Overlay unsignaled_completions(std::uint32_t period) {
   return {"unsignaled-completions", [period](SystemConfig& c) {
-            c.endpoint.signal.period = period;
+            c.endpoint.signal_period = period;
           }};
 }
 

@@ -18,6 +18,7 @@
 #include "coll/tuning.hpp"
 #include "cpu/cost_model.hpp"
 #include "fault/fault.hpp"
+#include "hlp/ucp.hpp"
 #include "llp/endpoint.hpp"
 #include "llp/worker.hpp"
 #include "net/fabric.hpp"
@@ -39,6 +40,9 @@ struct SystemConfig {
   llp::WorkerConfig llp_worker;
   /// Template for endpoints created by the testbed.
   llp::EndpointConfig endpoint;
+  /// The MPI stack's UCP settings: every scenario::MpiStack and the
+  /// models (core::ComponentTable, model::PtPtModel) read these.
+  hlp::UcpConfig ucp;
   /// Fault-injection plan (disabled by default: all rates zero, no
   /// scheduled one-shots). When disabled the testbed wires no injector
   /// and the simulation is bit-identical to the error-free machine.
@@ -84,8 +88,11 @@ Overlay pam4_fec_wire(double extra_wire_ns = 300.0);
 Overlay tofu_d_like();
 /// DoorBell + DMA descriptor/payload path instead of PIO+inline.
 Overlay doorbell_dma();
-/// One CQE per `period` ops.
-Overlay unsignaled_completions(std::uint32_t period = 64);
+/// One CQE per `period` ops. Changes only the UCT endpoint template
+/// (put_bw, am_lat): MPI stacks already run at `ucp.signal_period`, which
+/// is why this machine's osu_mr/osu_lat equal the testbed's.
+Overlay unsignaled_completions(
+    std::uint32_t period = hlp::UcpConfig{}.signal_period);
 /// Total-store-order CPU: the LLP_post store barriers vanish.
 Overlay tso_cpu();
 /// Strip all stochastic jitter from the CPU cost model.

@@ -19,10 +19,7 @@ Testbed::Node::Node(sim::Simulator& sim, net::Fabric& fabric,
       worker(core, host, cfg.llp_worker),
       cq_interrupt(sim) {
   worker.set_profiler(&profiler);
-  if (cfg.fault.enabled()) {
-    nic.set_fault_stats(&injector.stats());
-    worker.set_fault_stats(&injector.stats());
-  }
+  if (cfg.fault.enabled()) nic.set_fault_stats(&injector.stats());
   host.set_commit_hook([this] { cq_interrupt.fire(); });
   rc.set_memory_sink([this](const pcie::Tlp& tlp, TimePs visible_at) {
     if (tlp.poisoned) ++injector.stats().poisoned_delivered;
@@ -81,17 +78,12 @@ void Testbed::publish_fault_counters() {
   p.note_count("fault.poisoned_delivered", s.poisoned_delivered);
   p.note_count("fault.error_cqes", s.error_cqes);
   p.note_count("fault.read_retries", s.read_retries);
-  p.note_count("fault.busy_post_retries", s.busy_post_retries);
 }
 
 net::TransportStats Testbed::net_stats() const {
   net::TransportStats merged = fabric_.stats();
   for (const Node& n : nodes_) merged.merge(n.nic.transport_stats());
   return merged;
-}
-
-std::string Testbed::net_report() const {
-  return net_stats().render("Transport report: " + cfg_.name);
 }
 
 void Testbed::publish_net_counters() {

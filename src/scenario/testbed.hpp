@@ -74,7 +74,6 @@ class Testbed {
   /// Merged reliable-transport accounting: the fabric's wire-side packet
   /// fates plus every NIC's RC protocol activity (docs/TRANSPORT.md).
   net::TransportStats net_stats() const;
-  std::string net_report() const;
   /// Exports the merged transport stats as `net.*` counters on node 0's
   /// profiler, mirroring publish_fault_counters().
   void publish_net_counters();

@@ -44,7 +44,6 @@ class Channel {
   }
 
   std::size_t pending() const { return items_.size(); }
-  bool has_waiters() const { return !waiters_.empty(); }
 
   class ReceiveAwaiter {
    public:

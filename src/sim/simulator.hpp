@@ -93,7 +93,11 @@ class Waiter {
   friend class Simulator;
 };
 
-class Simulator {
+// Cache-line aligned, so the hot queue state keeps the same line offsets
+// whatever object holds the simulator. A Testbed places it after its
+// SystemConfig, and perfbench's host time per op moves by several
+// percent with that offset.
+class alignas(64) Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 42);
   ~Simulator();
@@ -179,7 +183,6 @@ class Simulator {
   void run();
   /// Runs while events exist and now() <= t.
   void run_until(TimePs t);
-  void run_for(TimePs d) { run_until(now_ + d); }
   /// Runs until `pred()` becomes true (checked after each event) or the
   /// queue drains. Returns whether the predicate held.
   bool run_while_pending(const std::function<bool()>& pred);

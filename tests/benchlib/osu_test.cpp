@@ -50,12 +50,15 @@ TEST(OsuMessageRate, UnsignaledCompletionsAmortizeLlpProgress) {
 
 TEST(OsuMessageRate, SignaledEveryOpIsSlower) {
   // Ablation direction: per-message CQEs reintroduce LLP_prog per op.
-  scenario::Testbed tb1(scenario::presets::deterministic());
+  auto cfg = scenario::presets::deterministic();
+  cfg.ucp.signal_period = 64;
+  scenario::Testbed tb1(cfg);
   OsuMessageRate moderated(tb1, {.windows = 40, .warmup_windows = 4,
-                                 .signal_period = 64, .speed_factor = 1.0});
-  scenario::Testbed tb2(scenario::presets::deterministic());
+                                 .speed_factor = 1.0});
+  cfg.ucp.signal_period = 1;
+  scenario::Testbed tb2(cfg);
   OsuMessageRate signaled(tb2, {.windows = 40, .warmup_windows = 4,
-                                .signal_period = 1, .speed_factor = 1.0});
+                                .speed_factor = 1.0});
   const double fast = moderated.run().cpu_per_msg_ns;
   const double slow = signaled.run().cpu_per_msg_ns;
   EXPECT_GT(slow, fast + 30.0);  // ~ one LLP_prog per op re-appears

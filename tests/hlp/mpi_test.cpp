@@ -111,8 +111,9 @@ TEST(Mpi, WaitallChargesPerOpBookkeeping) {
 TEST(Mpi, WaitallDrivesPendingSendsToCompletion) {
   auto cfg = scenario::presets::deterministic();
   cfg.endpoint.txq_depth = 4;
+  cfg.ucp.signal_period = 4;
   Testbed tb(cfg);
-  MpiStack s(tb, 0, /*signal_period=*/4);
+  MpiStack s(tb, 0);
   tb.node(1).nic.post_receives(64);
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
     std::vector<Request*> reqs;
@@ -156,8 +157,10 @@ TEST(Mpi, WrapUcpSendAllowsMpichDerivation) {
 
 TEST(Mpi, MessageRateWindowLoopSustains) {
   // A miniature OSU message-rate loop: windows of isend + waitall.
-  Testbed tb(scenario::presets::deterministic());
-  MpiStack s(tb, 0, /*signal_period=*/64);
+  auto cfg = scenario::presets::deterministic();
+  cfg.ucp.signal_period = 64;
+  Testbed tb(cfg);
+  MpiStack s(tb, 0);
   tb.node(1).nic.post_receives(1024);
   const int kWindows = 8, kWindow = 64;
   tb.sim().spawn([](MpiStack& st, int windows, int window) -> sim::Task<void> {

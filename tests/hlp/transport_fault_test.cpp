@@ -20,10 +20,12 @@ TEST(HlpTransportFault, SenderQpErrorSurfacesReconnectResendsDelivers) {
   // Kill every attempt of node 0's first data packet (PSN 1).
   fault::WireFaultConfig w;
   w.scheduled.push_back({fault::WireOneShot::Kind::kKillData, 0, 1});
-  Testbed tb(scenario::presets::deterministic().with(
-      scenario::overlays::wire_faults(w)));
-  MpiStack a(tb, 0, /*signal_period=*/1);
-  MpiStack b(tb, 1, /*signal_period=*/1);
+  auto cfg = scenario::presets::deterministic().with(
+      scenario::overlays::wire_faults(w));
+  cfg.ucp.signal_period = 1;
+  Testbed tb(cfg);
+  MpiStack a(tb, 0);
+  MpiStack b(tb, 1);
   tb.node(0).nic.post_receives(16);
   tb.node(1).nic.post_receives(16);
 

@@ -41,8 +41,9 @@ TEST(Ucp, SendCostIsUcpPlusLlp) {
 TEST(Ucp, BusyPostPendsAndProgressRetries) {
   auto cfg = scenario::presets::deterministic();
   cfg.endpoint.txq_depth = 1;
+  cfg.ucp.signal_period = 1;
   Testbed tb(cfg);
-  MpiStack s(tb, 0, /*signal_period=*/1);
+  MpiStack s(tb, 0);
   tb.node(1).nic.post_receives(8);
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
     Request* a = (co_await st.ucp().tag_send_nb(8)).value();
@@ -64,9 +65,10 @@ TEST(Ucp, BusyPostPendsAndProgressRetries) {
 TEST(Ucp, PendingSendsPreserveOrder) {
   auto cfg = scenario::presets::deterministic();
   cfg.endpoint.txq_depth = 1;
+  cfg.ucp.signal_period = 1;
   Testbed tb(cfg);
-  MpiStack tx(tb, 0, 1);
-  MpiStack rx(tb, 1, 1);
+  MpiStack tx(tb, 0);
+  MpiStack rx(tb, 1);
   tb.node(1).nic.post_receives(16);
   std::vector<std::uint64_t> arrival_order;
   tb.node(1).worker.set_rx_handler(

@@ -109,9 +109,10 @@ SendRecvRun send_recv(prof::PointSet points, bool enabled, bool use_pio) {
   auto cfg = scenario::presets::deterministic();
   cfg.endpoint.txq_depth = 4;
   cfg.endpoint.use_pio = use_pio;
+  cfg.ucp.signal_period = 4;
   Testbed tb(cfg);
-  MpiStack tx(tb, 0, /*signal_period=*/4);
-  MpiStack rx(tb, 1, /*signal_period=*/4);
+  MpiStack tx(tb, 0);
+  MpiStack rx(tb, 1);
   tb.node(1).nic.post_receives(64);
   for (int n = 0; n < 2; ++n) {
     tb.node(n).profiler.select(points);

@@ -108,8 +108,10 @@ TEST(FullStack, AnalyzerSeesEveryLayerOfOneSend) {
   // One MPI message: the trace must contain the PIO post (down), the
   // payload write (up, at the target it is the *target's* link -- so on
   // node 0 we see only our own traffic: post + CQE) and their DLLPs.
-  Testbed tb(scenario::presets::deterministic());
-  MpiStack a(tb, 0, /*signal_period=*/1);
+  auto cfg = scenario::presets::deterministic();
+  cfg.ucp.signal_period = 1;
+  Testbed tb(cfg);
+  MpiStack a(tb, 0);
   tb.node(1).nic.post_receives(2);
   tb.sim().spawn([](Testbed& t, MpiStack& st) -> sim::Task<void> {
     (void)co_await st.mpi().isend(8);

@@ -92,7 +92,7 @@ TEST(Endpoint, BusyPostClearsAfterProgress) {
 
 TEST(Endpoint, SignalPolicyMarksEveryNth) {
   auto cfg = scenario::presets::deterministic();
-  cfg.endpoint.signal.period = 3;
+  cfg.endpoint.signal_period = 3;
   Testbed tb(cfg);
   auto& ep = tb.add_endpoint(0);
   tb.sim().spawn([](Testbed::Node& n, Endpoint& e) -> sim::Task<void> {
@@ -105,7 +105,7 @@ TEST(Endpoint, SignalPolicyMarksEveryNth) {
 
 TEST(Endpoint, TxRetireHandlerObservesCounts) {
   auto cfg = scenario::presets::deterministic();
-  cfg.endpoint.signal.period = 4;
+  cfg.endpoint.signal_period = 4;
   Testbed tb(cfg);
   auto& ep = tb.add_endpoint(0);
   std::vector<std::uint32_t> retires;
@@ -122,7 +122,7 @@ TEST(Endpoint, FlushRetiresUnsignaledTail) {
   // 5 ops at period 4: op 4 is signalled, op 5 would hang a drain loop
   // without the flush's forced-signal no-op.
   auto cfg = scenario::presets::deterministic();
-  cfg.endpoint.signal.period = 4;
+  cfg.endpoint.signal_period = 4;
   Testbed tb(cfg);
   auto& ep = tb.add_endpoint(0);
   tb.sim().spawn([](Testbed::Node& n, Endpoint& e) -> sim::Task<void> {

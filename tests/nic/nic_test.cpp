@@ -133,7 +133,7 @@ TEST(Nic, DmaPathInjectsLaterThanPio) {
 
 TEST(Nic, UnsignaledModerationOneCqePerPeriod) {
   auto cfg = scenario::presets::deterministic();
-  cfg.endpoint.signal.period = 4;
+  cfg.endpoint.signal_period = 4;
   cfg.endpoint.txq_depth = 64;
   Testbed tb(cfg);
   auto& ep = tb.add_endpoint(0);

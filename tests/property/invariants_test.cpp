@@ -27,7 +27,7 @@ std::unique_ptr<TrafficResult> run_traffic(std::uint64_t seed,
                                            std::uint32_t signal_period) {
   auto cfg = scenario::presets::thunderx2_cx4();
   cfg.seed = seed;
-  cfg.endpoint.signal.period = signal_period;
+  cfg.endpoint.signal_period = signal_period;
   // Depth must cover the moderation period or the queue deadlocks (the
   // endpoint asserts on such configs).
   cfg.endpoint.txq_depth = 128;

@@ -82,7 +82,7 @@ class PeriodSweep : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(PeriodSweep, CqeCountMatchesPolicyExactly) {
   const std::uint32_t period = GetParam();
   auto cfg = scenario::presets::deterministic();
-  cfg.endpoint.signal.period = period;
+  cfg.endpoint.signal_period = period;
   scenario::Testbed tb(cfg);
   auto& ep = tb.add_endpoint(0);
   const std::uint32_t msgs = period * 5;  // aligned: no flush needed

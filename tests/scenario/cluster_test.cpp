@@ -149,8 +149,7 @@ TEST(Cluster, MpiRingExchange) {
   std::vector<std::unique_ptr<MpiStack>> stacks;
   for (int r = 0; r < kNodes; ++r) {
     cl.node(r).nic.post_receives(8);
-    auto& ep = cl.add_endpoint(r, (r + 1) % kNodes);
-    stacks.push_back(std::make_unique<MpiStack>(cl.node(r), ep));
+    stacks.push_back(std::make_unique<MpiStack>(cl, r, (r + 1) % kNodes));
   }
   int done = 0;
   for (int r = 0; r < kNodes; ++r) {

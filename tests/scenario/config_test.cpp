@@ -69,7 +69,7 @@ TEST(Presets, DoorbellDmaPath) {
 TEST(Presets, UnsignaledCompletions) {
   const SystemConfig base = presets::thunderx2_cx4();
   const auto period = [&](auto overlay) {
-    return base.with(overlay).endpoint.signal.period;
+    return base.with(overlay).endpoint.signal_period;
   };
   EXPECT_EQ(period(overlays::unsignaled_completions()), 64u);
   EXPECT_EQ(period(overlays::unsignaled_completions(16)), 16u);

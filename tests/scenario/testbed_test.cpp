@@ -55,9 +55,12 @@ TEST(MpiStack, BundlesFullStack) {
   EXPECT_EQ(&s.ucp().endpoint(), &s.endpoint());
   EXPECT_EQ(&s.mpi().ucp(), &s.ucp());
   // UCX default signalling: one CQE per 64 ops.
-  EXPECT_EQ(s.endpoint().config().signal.period, 64u);
-  MpiStack s2(tb, 1, 8);
-  EXPECT_EQ(s2.endpoint().config().signal.period, 8u);
+  EXPECT_EQ(s.endpoint().config().signal_period, 64u);
+  auto cfg = presets::deterministic();
+  cfg.ucp.signal_period = 8;
+  Testbed tb8(cfg);
+  MpiStack s2(tb8, 1);
+  EXPECT_EQ(s2.endpoint().config().signal_period, 8u);
 }
 
 TEST(Testbed, RdmaWriteSmokeAcrossAllPresets) {

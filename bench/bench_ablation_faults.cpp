@@ -37,31 +37,6 @@ using namespace bb;
 
 namespace {
 
-// FNV-1a over the analyzer trace (the determinism-golden mix).
-std::uint64_t trace_checksum(const pcie::Trace& tr) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& r : tr.records()) {
-    mix(static_cast<std::uint64_t>(r.t.ps()));
-    mix(static_cast<std::uint64_t>(r.dir));
-    mix(static_cast<std::uint64_t>(r.is_dllp));
-    mix(static_cast<std::uint64_t>(r.tlp_type));
-    mix(static_cast<std::uint64_t>(r.dllp_type));
-    mix(r.bytes);
-    mix(r.tag);
-    mix(r.msg_id);
-    for (char c : r.kind) {
-      mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-    }
-  }
-  return h;
-}
-
 // The sweep perturbs every modelled fault class, not just TLP corruption:
 // drops exercise the replay timer, Ack losses the duplicate filter, and
 // UpdateFC losses the credit re-emission path.
@@ -182,7 +157,7 @@ std::tuple<std::uint64_t, std::int64_t, std::uint64_t> fingerprint(
       tb, {.iterations = 200, .warmup = 20, .capture_trace = true});
   (void)b.run();
   return {tb.sim().events_processed(), tb.sim().now().ps(),
-          trace_checksum(tb.analyzer().trace())};
+          tb.analyzer().trace().checksum()};
 }
 
 }  // namespace

@@ -21,7 +21,6 @@ int bbench::fig06_trace(const Args&) {
   (void)bench.run();
 
   // Filter for downstream data transactions, as the figure does.
-  pcie::Trace filtered;
   const auto downs = tb.analyzer().trace().downstream_writes(64);
   std::printf("downstream MWr transactions captured: %zu\n\n", downs.size());
 
@@ -29,7 +28,7 @@ int bbench::fig06_trace(const Args&) {
   for (std::size_t i = 1000; i < 1016 && i < downs.size(); ++i) {
     std::printf("%15.2f  %-4s  %-8s  %5u  %-9s  %10.2f\n",
                 downs[i].t.to_ns(), "down", "MWr", downs[i].bytes,
-                downs[i].kind.c_str(),
+                downs[i].kind().c_str(),
                 (downs[i].t - downs[i - 1].t).to_ns());
   }
 

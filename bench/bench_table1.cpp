@@ -58,8 +58,8 @@ LlpMeasurement measure_llp() {
       while (e.outstanding() > 0) co_await n.worker.progress();
     }(tb.node(0), ep));
     tb.sim().run();
-    out.total = tb.node(0).profiler.mean_ns("LLP_post");
-    out.busy = tb.node(0).profiler.mean_ns("Busy post");
+    out.total = tb.node(0).profiler.mean_ns(prof::Point::kLlpPost);
+    out.busy = tb.node(0).profiler.mean_ns(prof::Point::kBusyPost);
   }
 
   // LLP_prog (per-CQE dequeue wrap).
@@ -78,7 +78,7 @@ LlpMeasurement measure_llp() {
       while (e.outstanding() > 0) co_await n.worker.progress();
     }(tb.node(0), ep));
     tb.sim().run();
-    out.prog = tb.node(0).profiler.mean_ns("LLP_prog");
+    out.prog = tb.node(0).profiler.mean_ns(prof::Point::kLlpProg);
   }
   return out;
 }
@@ -171,7 +171,7 @@ HlpMeasurement measure_hlp() {
       }
     }(tb, rx, until));
     tb.sim().run();
-    return tb.node(1).profiler.mean_ns(prof::name(point));
+    return tb.node(1).profiler.mean_ns(point);
   };
 
   const double wait_total = run_rx(prof::Point::kMpiWait);
@@ -205,7 +205,7 @@ HlpMeasurement measure_hlp() {
       co_await st.mpi().waitall(reqs);
     }(tx));
     tb.sim().run();
-    return tb.node(0).profiler.mean_ns(prof::name(point));
+    return tb.node(0).profiler.mean_ns(point);
   };
   const double isend_total = run_tx(prof::Point::kMpiIsend);
   const double ucp_send = run_tx(prof::Point::kUcpTagSendNb);

@@ -90,9 +90,10 @@ inline std::vector<bb::BarSegment> profile_post_substeps(int posts) {
   }(tb.node(0), ep, posts));
   tb.sim().run();
   std::vector<bb::BarSegment> out;
-  for (const char* region : {"MD setup", "Barrier for MD", "Barrier for DBC",
-                             "PIO copy", "Other"}) {
-    out.push_back({region, tb.node(0).profiler.mean_ns(region)});
+  using bb::prof::Point;
+  for (Point p : {Point::kMdSetup, Point::kBarrierMd, Point::kBarrierDbc,
+                  Point::kPioCopy, Point::kPostOther}) {
+    out.push_back({bb::prof::name(p), tb.node(0).profiler.mean_ns(p)});
   }
   return out;
 }

@@ -34,13 +34,6 @@ class Samples {
  public:
   void add(TimePs v) { values_ns_.push_back(v.to_ns()); }
   void add_ns(double ns) { values_ns_.push_back(ns); }
-  /// Appends another sample set (profile aggregation across bb::exec
-  /// jobs). Order: this set's samples, then `o`'s, so merging in grid
-  /// order is deterministic.
-  void merge(const Samples& o) {
-    values_ns_.insert(values_ns_.end(), o.values_ns_.begin(),
-                      o.values_ns_.end());
-  }
   void clear() { values_ns_.clear(); }
   std::size_t size() const { return values_ns_.size(); }
   bool empty() const { return values_ns_.empty(); }

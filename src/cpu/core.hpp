@@ -61,17 +61,11 @@ class Core {
     const TimePs d = pending_;
     pending_ = TimePs::zero();
     sim_.park(w, sim_.now() + d);
-#ifndef NDEBUG
     parked_ = true;
-#endif
     return true;
   }
   /// Marks the parked waiter's pass as running.
-  void unpark() {
-#ifndef NDEBUG
-    parked_ = false;
-#endif
-  }
+  void unpark() { parked_ = false; }
 
   /// Core-local time: simulator time plus un-flushed pending work.
   TimePs virtual_now() const;
@@ -87,9 +81,10 @@ class Core {
   TimePs pending_ = TimePs::zero();
   TimePs busy_ = TimePs::zero();
   double speed_factor_ = 1.0;
-#ifndef NDEBUG
+  // Read only by the debug check in consume(), but kept in every build
+  // type so Debug and Release translation units agree on the layout;
+  // declared last.
   bool parked_ = false;
-#endif
 };
 
 }  // namespace bb::cpu

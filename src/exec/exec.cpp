@@ -79,8 +79,8 @@ struct WorkerQueue {
 struct BatchState {
   const Batch* batch = nullptr;
   std::vector<WorkerQueue> queues;
+  // Set by the first failure: jobs not yet started are skipped.
   std::atomic<bool> cancel{false};
-  bool fail_fast = true;
 
   // Captured job failures; the lowest grid index wins at rethrow so the
   // reported error does not depend on completion order.
@@ -91,7 +91,7 @@ struct BatchState {
 
   void run_one(std::size_t i, int worker) {
     JobStats& stats = (*batch->stats)[i];
-    if (fail_fast && cancel.load(std::memory_order_acquire)) {
+    if (cancel.load(std::memory_order_acquire)) {
       return;  // cancelled before starting; stats.ran stays false
     }
     stats.ran = true;
@@ -133,7 +133,6 @@ void run_batch(const Batch& batch, const Options& opts) {
   const auto t0 = Clock::now();
   BatchState state(jobs);
   state.batch = &batch;
-  state.fail_fast = opts.fail_fast;
 
   // Round-robin initial distribution: worker w owns indices w, w+J,
   // w+2J, ... Grid order is preserved within each queue, and stealing

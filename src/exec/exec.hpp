@@ -49,9 +49,6 @@ struct Options {
   /// Worker threads; <= 0 resolves through default_jobs(). Results are
   /// bit-identical at every value, including oversubscription.
   int jobs = 0;
-  /// Cancel outstanding (not yet started) jobs after the first failure.
-  /// Running jobs complete; the lowest-index captured error is rethrown.
-  bool fail_fast = true;
 };
 
 /// Per-job accounting, reported in grid order.

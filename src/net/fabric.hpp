@@ -57,8 +57,8 @@ struct NetParams {
 
 /// Counters for the reliable-transport layer: the wire-side half lives in
 /// the fabric (packet fates), the protocol-side half in each NIC's RC
-/// machine (ACK/NAK/retry activity). Merged per testbed/cluster and
-/// exported as `net.*` profiler counters, mirroring `fault.*`.
+/// machine (ACK/NAK/retry activity). Merged per testbed by
+/// `Testbed::net_stats()`.
 struct TransportStats {
   // Wire side (fabric). Conservation at quiescence:
   //   sent + duplicated == delivered + dropped + corrupted.

@@ -62,22 +62,7 @@ void Nic::on_downstream_tlp(const pcie::Tlp& tlp) {
     case pcie::TlpType::kMemWrite: {
       if (const auto* desc =
               std::get_if<pcie::DescriptorWrite>(&tlp.content)) {
-        const pcie::WireMd md = desc->md;
-        if (md.inline_payload) {
-          // PIO + inlining: descriptor and payload arrived whole.
-          sim_.call_in(TimePs::from_ns(params_.tx_proc_ns),
-                       [this, md] { inject(md); });
-        } else {
-          // PIO descriptor, but the payload still lives in registered
-          // memory: fetch it with a DMA read (§2 step 3).
-          pcie::ReadRequest preq;
-          preq.what = pcie::ReadRequest::What::kPayload;
-          preq.qp = md.qp;
-          preq.host_addr = md.host_payload_addr;
-          preq.bytes = md.payload_bytes;
-          staged_payload_wait_[md.host_payload_addr] = md;
-          issue_dma_read(preq);
-        }
+        on_descriptor(desc->md);  // PIO: the CPU wrote the MD itself
         return;
       }
       if (const auto* db = std::get_if<pcie::DoorbellWrite>(&tlp.content)) {
@@ -209,24 +194,27 @@ void Nic::issue_dma_read(pcie::ReadRequest req, int attempts) {
   send_upstream(std::move(tlp));
 }
 
+void Nic::on_descriptor(const pcie::WireMd& md) {
+  if (md.inline_payload) {
+    // Payload arrived inside the descriptor; ready to inject.
+    sim_.call_in(TimePs::from_ns(params_.tx_proc_ns),
+                 [this, md] { inject(md); });
+    return;
+  }
+  // §2 step 3: the payload still lives in registered memory; fetch it.
+  pcie::ReadRequest preq;
+  preq.what = pcie::ReadRequest::What::kPayload;
+  preq.qp = md.qp;
+  preq.host_addr = md.host_payload_addr;
+  preq.bytes = md.payload_bytes;
+  staged_payload_wait_[md.host_payload_addr] = md;
+  issue_dma_read(preq);
+}
+
 void Nic::on_read_completion(const pcie::ReadRequest& req,
                              const pcie::ReadCompletion& rc) {
   if (rc.what == pcie::ReadRequest::What::kDescriptor) {
-    const pcie::WireMd md = rc.md;
-    if (md.inline_payload) {
-      // Payload arrived inside the descriptor; ready to inject.
-      sim_.call_in(TimePs::from_ns(params_.tx_proc_ns),
-                   [this, md] { inject(md); });
-    } else {
-      // §2 step 3: fetch the payload from registered memory.
-      pcie::ReadRequest preq;
-      preq.what = pcie::ReadRequest::What::kPayload;
-      preq.qp = md.qp;
-      preq.host_addr = md.host_payload_addr;
-      preq.bytes = md.payload_bytes;
-      staged_payload_wait_[md.host_payload_addr] = md;
-      issue_dma_read(preq);
-    }
+    on_descriptor(rc.md);  // DMA path: the MD fetched from the host ring
     return;
   }
   // Payload arrived; find the descriptor waiting on this address.

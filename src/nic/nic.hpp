@@ -161,6 +161,9 @@ class Nic {
   void send_upstream(pcie::Tlp tlp);
   sim::Task<void> upstream_pump();
 
+  /// A descriptor reached the NIC (PIO write or DMA fetch): inject an
+  /// inline one after tx processing, else fetch its payload first.
+  void on_descriptor(const pcie::WireMd& md);
   void issue_dma_read(pcie::ReadRequest req, int attempts = 0);
   void on_read_completion(const pcie::ReadRequest& req,
                           const pcie::ReadCompletion& rc);

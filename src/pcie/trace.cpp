@@ -1,8 +1,12 @@
 #include "pcie/trace.hpp"
 
 #include <cstdio>
+#include <iterator>
+#include <variant>
 
 namespace bb::pcie {
+
+namespace {
 
 std::uint64_t msg_id_of(const Tlp& tlp) {
   if (const auto* d = std::get_if<DescriptorWrite>(&tlp.content)) {
@@ -13,14 +17,20 @@ std::uint64_t msg_id_of(const Tlp& tlp) {
   return 0;
 }
 
-std::string kind_of(const Tlp& tlp) {
-  if (std::holds_alternative<DoorbellWrite>(tlp.content)) return "DoorBell";
-  if (std::holds_alternative<DescriptorWrite>(tlp.content)) return "PIO-MD";
-  if (std::holds_alternative<CqeWrite>(tlp.content)) return "CQE";
-  if (std::holds_alternative<PayloadWrite>(tlp.content)) return "payload";
-  if (std::holds_alternative<ReadRequest>(tlp.content)) return "DMA-read";
-  if (std::holds_alternative<ReadCompletion>(tlp.content)) return "DMA-data";
-  return "-";
+/// Label of each TlpContent alternative, indexed by variant index.
+constexpr const char* kContentLabels[] = {
+    "-", "DoorBell", "PIO-MD", "CQE", "payload", "DMA-read", "DMA-data"};
+static_assert(std::size(kContentLabels) == std::variant_size_v<TlpContent>,
+              "every TlpContent alternative needs a label");
+
+}  // namespace
+
+std::string TraceRecord::kind() const {
+  if (is_dllp) return to_string(dllp_type);
+  std::string k = kContentLabels[content];
+  // Never set on the error-free path, so golden traces are untouched.
+  if (poisoned) k += "!EP";
+  return k;
 }
 
 void Trace::record_tlp(TimePs t, const Tlp& tlp) {
@@ -32,12 +42,9 @@ void Trace::record_tlp(TimePs t, const Tlp& tlp) {
   r.bytes = tlp.bytes;
   r.tag = tlp.tag;
   r.msg_id = msg_id_of(tlp);
-  r.kind = kind_of(tlp);
-  // Error-forwarded packets are visibly flagged, like an analyzer decoding
-  // the EP bit. Never set on the error-free path, so golden traces are
-  // untouched.
-  if (tlp.poisoned) r.kind += "!EP";
-  records_.push_back(std::move(r));
+  r.content = static_cast<std::uint8_t>(tlp.content.index());
+  r.poisoned = tlp.poisoned;
+  records_.push_back(r);
 }
 
 void Trace::record_dllp(TimePs t, Direction dir, const Dllp& dllp) {
@@ -48,8 +55,7 @@ void Trace::record_dllp(TimePs t, Direction dir, const Dllp& dllp) {
   r.dllp_type = dllp.type;
   r.bytes = 8;
   r.tag = dllp.ack_seq;
-  r.kind = to_string(dllp.type);
-  records_.push_back(std::move(r));
+  records_.push_back(r);
 }
 
 std::vector<TraceRecord> Trace::filter(
@@ -114,7 +120,7 @@ std::string Trace::to_csv() const {
                   to_string(r.dir).c_str(),
                   r.is_dllp ? to_string(r.dllp_type).c_str()
                             : to_string(r.tlp_type).c_str(),
-                  r.bytes, r.kind.c_str(),
+                  r.bytes, r.kind().c_str(),
                   static_cast<unsigned long long>(r.msg_id));
     out += line;
   }
@@ -131,11 +137,35 @@ std::string Trace::render(std::size_t start, std::size_t count) const {
                   r.t.to_ns(), to_string(r.dir).c_str(),
                   r.is_dllp ? to_string(r.dllp_type).c_str()
                             : to_string(r.tlp_type).c_str(),
-                  r.bytes, r.kind.c_str(),
+                  r.bytes, r.kind().c_str(),
                   static_cast<unsigned long long>(r.msg_id));
     out += line;
   }
   return out;
+}
+
+std::uint64_t Trace::checksum() const {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& r : records_) {
+    mix(static_cast<std::uint64_t>(r.t.ps()));
+    mix(static_cast<std::uint64_t>(r.dir));
+    mix(static_cast<std::uint64_t>(r.is_dllp));
+    mix(static_cast<std::uint64_t>(r.tlp_type));
+    mix(static_cast<std::uint64_t>(r.dllp_type));
+    mix(r.bytes);
+    mix(r.tag);
+    mix(r.msg_id);
+    for (char c : r.kind()) {
+      mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
+    }
+  }
+  return h;
 }
 
 }  // namespace bb::pcie

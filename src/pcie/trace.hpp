@@ -29,14 +29,15 @@ struct TraceRecord {
   std::uint64_t tag = 0;
   /// Message identity extracted from the semantic content (0 if none).
   std::uint64_t msg_id = 0;
-  /// Short classification, e.g. "PIO-MD", "CQE", "payload".
-  std::string kind;
-};
+  /// Which TlpContent alternative the TLP carried (its variant index).
+  std::uint8_t content = 0;
+  /// The TLP's EP bit (error forwarding).
+  bool poisoned = false;
 
-/// Extracts the message id from a TLP's semantic content (0 if absent).
-std::uint64_t msg_id_of(const Tlp& tlp);
-/// Short human label for the TLP's semantic content.
-std::string kind_of(const Tlp& tlp);
+  /// Short classification, e.g. "PIO-MD", "CQE", "Ack"; a poisoned TLP
+  /// gets a "!EP" suffix, like an analyzer decoding the EP bit.
+  std::string kind() const;
+};
 
 class Trace {
  public:
@@ -75,6 +76,10 @@ class Trace {
   /// Full trace as CSV (time_ns, dir, packet, bytes, kind, msg_id) for
   /// external plotting.
   std::string to_csv() const;
+
+  /// FNV-1a over every field of every record, in order, with kind() as
+  /// its characters: the fingerprint determinism tests pin.
+  std::uint64_t checksum() const;
 
  private:
   std::vector<TraceRecord> records_;

@@ -4,35 +4,6 @@
 
 namespace bb::prof {
 
-void ProfileData::merge(const ProfileData& o) {
-  for (const auto& [name, samples] : o.regions) {
-    regions[name].merge(samples);
-  }
-  for (const auto& [name, v] : o.counters) {
-    counters[name] += v;
-  }
-}
-
-std::string ProfileData::report() const {
-  TextTable t({"Region", "Count", "Mean (ns)", "SD", "Min", "Max"});
-  for (const auto& [name, samples] : regions) {
-    const Summary s = samples.summarize();
-    t.add_row({name, std::to_string(s.count), TextTable::num(s.mean),
-               TextTable::num(s.stddev), TextTable::num(s.min),
-               TextTable::num(s.max)});
-  }
-  std::string out = t.render();
-  if (!counters.empty()) {
-    TextTable c({"Counter", "Value"});
-    for (const auto& [name, v] : counters) {
-      c.add_row({name, std::to_string(v)});
-    }
-    out += '\n';
-    out += c.render();
-  }
-  return out;
-}
-
 Profiler::Region Profiler::open(Point p) {
   Region r;
   r.active = true;
@@ -54,27 +25,24 @@ void Profiler::end(Region& r) {
   const TimePs raw = core_.virtual_now() - r.t0;
   // §3: "we report software measurements after removing this overhead."
   const double corrected = raw.to_ns() - overhead_mean_ns();
-  data_.regions[name(r.point)].add_ns(corrected);
+  at(r.point).add_ns(corrected);
 }
 
-void Profiler::record_ns(const std::string& name, double ns) {
-  data_.regions[name].add_ns(ns);
+const Samples& Profiler::samples(Point p) const {
+  BB_ASSERT_MSG(has(p), "no samples for region");
+  return at(p);
 }
 
-bool Profiler::has(const std::string& name) const {
-  return data_.regions.count(name) != 0;
+std::string Profiler::report() const {
+  TextTable t({"Region", "Count", "Mean (ns)", "SD", "Min", "Max"});
+  for (std::size_t i = 0; i < kPointCount; ++i) {
+    if (samples_[i].empty()) continue;
+    const Summary s = samples_[i].summarize();
+    t.add_row({kPointNames[i], std::to_string(s.count),
+               TextTable::num(s.mean), TextTable::num(s.stddev),
+               TextTable::num(s.min), TextTable::num(s.max)});
+  }
+  return t.render();
 }
-
-const Samples& Profiler::samples(const std::string& name) const {
-  auto it = data_.regions.find(name);
-  BB_ASSERT_MSG(it != data_.regions.end(), "no samples for region");
-  return it->second;
-}
-
-double Profiler::mean_ns(const std::string& name) const {
-  return samples(name).summarize().mean;
-}
-
-std::string Profiler::report() const { return data_.report(); }
 
 }  // namespace bb::prof

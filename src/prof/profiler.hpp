@@ -13,11 +13,11 @@
 // the configured mean. The residual sampling noise is therefore part of
 // our measured component times, exactly as on real hardware.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
-#include <map>
 #include <string>
 
 #include "common/stats.hpp"
@@ -58,8 +58,8 @@ enum class Point : std::uint8_t {
 inline constexpr std::size_t kPointCount =
     static_cast<std::size_t>(Point::kCount);
 
-/// The region name each point records under -- the keys of
-/// ProfileData::regions and of every report. Indexed by Point.
+/// The region name each point is reported under. Indexed by Point; only
+/// report() and the printed tables use it.
 inline constexpr const char* kPointNames[] = {
     "LLP_post",
     "MD setup",
@@ -110,28 +110,6 @@ inline constexpr PointSet kPostSubsteps = {
     Point::kPioCopy, Point::kDoorbellWrite, Point::kPostOther,
     Point::kBusyPost};
 
-/// A profiler's recorded state, detached from the live Core/Simulator
-/// that produced it. Counters are per-Profiler (and therefore
-/// per-Simulator) -- there is deliberately no process-global registry,
-/// so simulations on different threads never share measurement state.
-/// `merge` is the aggregation API `bb::exec` uses to fold per-job
-/// profiles into one report: merge snapshots in grid order and the
-/// aggregate is deterministic at any thread count.
-struct ProfileData {
-  std::map<std::string, Samples> regions;
-  std::map<std::string, std::uint64_t> counters;
-
-  bool empty() const { return regions.empty() && counters.empty(); }
-
-  /// Folds `o` into this profile: region samples append (this first,
-  /// then `o`), counters add.
-  void merge(const ProfileData& o);
-
-  /// Table of all regions (and counters, when present) -- the same
-  /// rendering as Profiler::report().
-  std::string report() const;
-};
-
 class Profiler {
  public:
   explicit Profiler(cpu::Core& core) : core_(core) {}
@@ -167,31 +145,11 @@ class Profiler {
   /// Closes the region and records the compensated duration.
   void end(Region& r);
 
-  /// Records an externally measured duration under `name` (used when a
-  /// component is derived by subtraction, mirroring §5's methodology).
-  void record_ns(const std::string& name, double ns);
-
-  /// Event counters (fault/recovery accounting and similar): free --
-  /// counting does not perturb the simulated timeline, unlike regions.
-  void note_count(const std::string& name, std::uint64_t delta = 1) {
-    data_.counters[name] += delta;
-  }
-  std::uint64_t counter(const std::string& name) const {
-    auto it = data_.counters.find(name);
-    return it == data_.counters.end() ? 0 : it->second;
-  }
-  const std::map<std::string, std::uint64_t>& counters() const {
-    return data_.counters;
-  }
-
-  bool has(const std::string& name) const;
-  const Samples& samples(const std::string& name) const;
-  double mean_ns(const std::string& name) const;
-  void clear() { data_ = ProfileData{}; }
-
-  /// Copies the recorded state out of the live profiler -- the handoff
-  /// point from a job-owned Testbed to the caller-side aggregate.
-  ProfileData snapshot() const { return data_; }
+  /// Whether `p` has recorded at least one sample.
+  bool has(Point p) const { return !at(p).empty(); }
+  const Samples& samples(Point p) const;
+  double mean_ns(Point p) const { return samples(p).summarize().mean; }
+  void clear() { samples_ = {}; }
 
   /// The mean that gets subtracted from every region (Table 1:
   /// "Measurement update").
@@ -199,16 +157,20 @@ class Profiler {
     return core_.costs().timer_read.mean_ns;
   }
 
-  /// Table of all recorded regions.
+  /// Table of the recorded regions, in Point order.
   std::string report() const;
 
  private:
   Region open(Point p);
+  Samples& at(Point p) { return samples_[static_cast<std::size_t>(p)]; }
+  const Samples& at(Point p) const {
+    return samples_[static_cast<std::size_t>(p)];
+  }
 
   cpu::Core& core_;
   bool enabled_ = true;
   PointSet selected_;
-  ProfileData data_;
+  std::array<Samples, kPointCount> samples_;
 };
 
 }  // namespace bb::prof

@@ -62,51 +62,10 @@ std::string Testbed::fault_report() const {
   return fault_stats().render("Fault report: " + cfg_.name);
 }
 
-void Testbed::publish_fault_counters() {
-  const fault::FaultStats s = fault_stats();
-  prof::Profiler& p = nodes_[0].profiler;
-  p.note_count("fault.tlps_corrupted", s.tlps_corrupted);
-  p.note_count("fault.tlps_dropped", s.tlps_dropped);
-  p.note_count("fault.acks_dropped", s.acks_dropped);
-  p.note_count("fault.updatefc_dropped", s.updatefc_dropped);
-  p.note_count("fault.naks_sent", s.naks_sent);
-  p.note_count("fault.replays", s.replays);
-  p.note_count("fault.replay_timeouts", s.replay_timeouts);
-  p.note_count("fault.duplicates_dropped", s.duplicates_dropped);
-  p.note_count("fault.fc_reemissions", s.fc_reemissions);
-  p.note_count("fault.poisoned_tlps", s.poisoned_tlps);
-  p.note_count("fault.poisoned_delivered", s.poisoned_delivered);
-  p.note_count("fault.error_cqes", s.error_cqes);
-  p.note_count("fault.read_retries", s.read_retries);
-}
-
 net::TransportStats Testbed::net_stats() const {
   net::TransportStats merged = fabric_.stats();
   for (const Node& n : nodes_) merged.merge(n.nic.transport_stats());
   return merged;
-}
-
-void Testbed::publish_net_counters() {
-  const net::TransportStats s = net_stats();
-  prof::Profiler& p = nodes_[0].profiler;
-  p.note_count("net.packets_sent", s.packets_sent);
-  p.note_count("net.packets_delivered", s.packets_delivered);
-  p.note_count("net.packets_dropped", s.packets_dropped);
-  p.note_count("net.packets_corrupted", s.packets_corrupted);
-  p.note_count("net.packets_duplicated", s.packets_duplicated);
-  p.note_count("net.packets_reordered", s.packets_reordered);
-  p.note_count("net.retransmits", s.retransmits);
-  p.note_count("net.acks_sent", s.acks_sent);
-  p.note_count("net.acks_received", s.acks_received);
-  p.note_count("net.naks_sent", s.naks_sent);
-  p.note_count("net.naks_received", s.naks_received);
-  p.note_count("net.rnr_naks_sent", s.rnr_naks_sent);
-  p.note_count("net.rnr_naks_received", s.rnr_naks_received);
-  p.note_count("net.duplicates_discarded", s.duplicates_discarded);
-  p.note_count("net.retry_timer_firings", s.retry_timer_firings);
-  p.note_count("net.qp_errors", s.qp_errors);
-  p.note_count("net.qp_recoveries", s.qp_recoveries);
-  p.note_count("net.flushed_wqes", s.flushed_wqes);
 }
 
 llp::Endpoint& Testbed::add_endpoint(int node_id,

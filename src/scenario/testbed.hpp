@@ -67,16 +67,10 @@ class Testbed {
   fault::FaultStats fault_stats() const;
   /// Rendered fault report (empty table when injection is disabled).
   std::string fault_report() const;
-  /// Exports the merged fault stats as `fault.*` counters on node 0's
-  /// profiler, so `profiler.report()` shows them next to timing regions.
-  void publish_fault_counters();
 
   /// Merged reliable-transport accounting: the fabric's wire-side packet
   /// fates plus every NIC's RC protocol activity (docs/TRANSPORT.md).
   net::TransportStats net_stats() const;
-  /// Exports the merged transport stats as `net.*` counters on node 0's
-  /// profiler, mirroring publish_fault_counters().
-  void publish_net_counters();
 
   /// Creates an endpoint on `node_id` targeting the peer, using the config
   /// template (optionally overridden). Returned reference is stable.

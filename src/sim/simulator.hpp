@@ -255,9 +255,10 @@ class alignas(64) Simulator {
   std::uint32_t root_error_index_ = 0;
   std::vector<RootProcess> roots_;
   Rng rng_;
-#ifndef NDEBUG
+  // Debug-only check state, declared in every build type so Debug and
+  // Release translation units agree on the layout; kept last so the hot
+  // state above keeps its offsets.
   std::thread::id owner_ = std::this_thread::get_id();
-#endif
 };
 
 }  // namespace bb::sim

@@ -21,31 +21,6 @@
 namespace bb {
 namespace {
 
-// FNV-1a over the analyzer trace (same mix as the determinism goldens).
-std::uint64_t trace_checksum(const pcie::Trace& tr) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& r : tr.records()) {
-    mix(static_cast<std::uint64_t>(r.t.ps()));
-    mix(static_cast<std::uint64_t>(r.dir));
-    mix(static_cast<std::uint64_t>(r.is_dllp));
-    mix(static_cast<std::uint64_t>(r.tlp_type));
-    mix(static_cast<std::uint64_t>(r.dllp_type));
-    mix(r.bytes);
-    mix(r.tag);
-    mix(r.msg_id);
-    for (char c : r.kind) {
-      mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-    }
-  }
-  return h;
-}
-
 using Fingerprint = std::tuple<std::uint64_t, std::int64_t, std::uint64_t>;
 
 Fingerprint run_put_bw() {
@@ -54,7 +29,7 @@ Fingerprint run_put_bw() {
       tb, {.messages = 2000, .warmup = 200, .capture_trace = true});
   (void)b.run();
   return {tb.sim().events_processed(), tb.sim().now().ps(),
-          trace_checksum(tb.analyzer().trace())};
+          tb.analyzer().trace().checksum()};
 }
 
 Fingerprint run_am_lat() {
@@ -63,7 +38,7 @@ Fingerprint run_am_lat() {
       tb, {.iterations = 500, .warmup = 50, .capture_trace = true});
   (void)b.run();
   return {tb.sim().events_processed(), tb.sim().now().ps(),
-          trace_checksum(tb.analyzer().trace())};
+          tb.analyzer().trace().checksum()};
 }
 
 Fingerprint run_allreduce() {
@@ -77,7 +52,7 @@ Fingerprint run_allreduce() {
   bench::OsuColl b(world, bench::OsuColl::Kind::kAllreduce, cfg);
   (void)b.run();
   return {cl.sim().events_processed(), cl.sim().now().ps(),
-          trace_checksum(cl.analyzer().trace())};
+          cl.analyzer().trace().checksum()};
 }
 
 // The exact constants from tests/integration/determinism_golden_test.cpp.

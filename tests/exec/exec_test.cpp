@@ -83,20 +83,30 @@ TEST(Exec, EveryJobRunsExactlyOnce) {
 
 TEST(Exec, LowestIndexErrorIsRethrown) {
   for (int jobs : {1, 2, 4}) {
+    // On a pool, jobs 2 and 5 wait for each other before throwing, so
+    // both are running when the first failure cancels the rest: both
+    // errors are captured and the lowest grid index must win
+    // deterministically. Serially, job 2 throws and job 5 never starts.
+    std::atomic<int> arrived{0};
     try {
       (void)run(
           8, /*seed=*/0,
-          [](Job& job) -> int {
+          [jobs, &arrived](Job& job) -> int {
             if (job.index() == 2 || job.index() == 5) {
+              arrived.fetch_add(1);
+              const auto give_up =
+                  std::chrono::steady_clock::now() + std::chrono::seconds(10);
+              while (jobs > 1 && arrived.load() < 2 &&
+                     std::chrono::steady_clock::now() < give_up) {
+                std::this_thread::yield();
+              }
               throw std::runtime_error("job " + std::to_string(job.index()));
             }
             return 0;
           },
-          {.jobs = jobs, .fail_fast = false});
+          {.jobs = jobs});
       FAIL() << "expected an exception at jobs=" << jobs;
     } catch (const std::runtime_error& e) {
-      // fail_fast=false runs everything, so both errors are captured and
-      // the lowest grid index must win deterministically.
       EXPECT_STREQ(e.what(), "job 2");
     }
   }
@@ -113,7 +123,7 @@ TEST(Exec, FailFastCancelsOutstandingJobs) {
           started.fetch_add(1);
           throw std::runtime_error("boom");
         },
-        {.jobs = 1, .fail_fast = true});
+        {.jobs = 1});
     FAIL() << "expected an exception";
   } catch (const std::runtime_error&) {
   }
@@ -121,20 +131,22 @@ TEST(Exec, FailFastCancelsOutstandingJobs) {
 }
 
 TEST(Exec, CancelledJobsAreMarkedNotRan) {
-  // With fail_fast off every job runs even after failures.
-  std::atomic<int> started{0};
-  try {
-    (void)run(
-        6, /*seed=*/0,
-        [&started](Job&) -> int {
-          started.fetch_add(1);
-          throw std::runtime_error("boom");
-        },
-        {.jobs = 2, .fail_fast = false});
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error&) {
+  // Serially, job 1 throws: jobs 2..5 are cancelled before starting, and
+  // their stats say so.
+  std::vector<JobStats> stats;
+  detail::Batch batch;
+  batch.count = 6;
+  batch.stats = &stats;
+  batch.run_job = [](std::size_t i, int, JobStats&) {
+    if (i == 1) throw std::runtime_error("boom");
+  };
+  EXPECT_THROW(detail::run_batch(batch, {.jobs = 1}), std::runtime_error);
+  ASSERT_EQ(stats.size(), 6u);
+  EXPECT_TRUE(stats[0].ran);
+  EXPECT_TRUE(stats[1].ran);
+  for (std::size_t i = 2; i < stats.size(); ++i) {
+    EXPECT_FALSE(stats[i].ran) << "job " << i;
   }
-  EXPECT_EQ(started.load(), 6);
 }
 
 TEST(Exec, StatsRecordWorkerAndWallTime) {

@@ -137,7 +137,8 @@ TEST(Mpi, WrapMpiIsendMeasures201_98) {
     for (int i = 0; i < 5; ++i) (void)co_await st.mpi().isend(8);
   }(s));
   tb.sim().run();
-  EXPECT_NEAR(tb.node(0).profiler.mean_ns("MPI_Isend"), 201.98, 1e-6);
+  EXPECT_NEAR(tb.node(0).profiler.mean_ns(prof::Point::kMpiIsend), 201.98,
+              1e-6);
 }
 
 TEST(Mpi, WrapUcpSendAllowsMpichDerivation) {
@@ -150,7 +151,8 @@ TEST(Mpi, WrapUcpSendAllowsMpichDerivation) {
     for (int i = 0; i < 5; ++i) (void)co_await st.mpi().isend(8);
   }(s));
   tb.sim().run();
-  const double ucp_total = tb.node(0).profiler.mean_ns("ucp_tag_send_nb");
+  const double ucp_total =
+      tb.node(0).profiler.mean_ns(prof::Point::kUcpTagSendNb);
   EXPECT_NEAR(ucp_total, 2.19 + 175.42, 1e-6);
   EXPECT_NEAR(201.98 - ucp_total, 24.37, 1e-6);  // MPICH share
 }

@@ -48,7 +48,7 @@ double measure_rx_region(Point point) {
     }
   }(tb, rx));
   tb.sim().run();
-  return tb.node(1).profiler.mean_ns(prof::name(point));
+  return tb.node(1).profiler.mean_ns(point);
 }
 
 TEST(HlpWraps, MpiWaitTotalIs505_43) {
@@ -90,14 +90,14 @@ TEST(HlpWraps, CallbackRegionsMatchTable1) {
 }
 
 /// What a send/recv run leaves behind: simulated end time, event count,
-/// the analyzer trace, and the region names both profilers recorded.
+/// the analyzer trace, and the points both profilers recorded.
 struct SendRecvRun {
   std::int64_t end_ps = 0;
   std::uint64_t events = 0;
   std::vector<std::tuple<std::int64_t, int, bool, int, int, std::uint32_t,
                          std::uint64_t, std::uint64_t, std::string>>
       trace;
-  std::set<std::string> regions;
+  std::set<Point> regions;
 };
 
 /// Node 0 isends 16 eager messages through a 4-deep TX queue (so posts
@@ -140,11 +140,13 @@ SendRecvRun send_recv(prof::PointSet points, bool enabled, bool use_pio) {
     out.trace.emplace_back(r.t.ps(), static_cast<int>(r.dir), r.is_dllp,
                            static_cast<int>(r.tlp_type),
                            static_cast<int>(r.dllp_type), r.bytes, r.tag,
-                           r.msg_id, r.kind);
+                           r.msg_id, r.kind());
   }
   for (int n = 0; n < 2; ++n) {
-    const prof::ProfileData data = tb.node(n).profiler.snapshot();
-    for (const auto& [name, samples] : data.regions) out.regions.insert(name);
+    for (std::size_t i = 0; i < prof::kPointCount; ++i) {
+      const auto p = static_cast<Point>(i);
+      if (tb.node(n).profiler.has(p)) out.regions.insert(p);
+    }
   }
   return out;
 }
@@ -173,7 +175,7 @@ TEST(HlpWraps, EachPointRecordsOnlyItsOwnRegion) {
     const PointRow row = kPointRows[i];
     ASSERT_EQ(static_cast<std::size_t>(row.point), i);
     const SendRecvRun run = send_recv({row.point}, true, row.use_pio);
-    EXPECT_EQ(run.regions, std::set<std::string>{prof::name(row.point)})
+    EXPECT_EQ(run.regions, std::set<Point>{row.point})
         << prof::name(row.point);
   }
 }

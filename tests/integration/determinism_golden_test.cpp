@@ -28,31 +28,6 @@
 namespace bb {
 namespace {
 
-// FNV-1a over the analyzer trace: every field of every record in order.
-std::uint64_t trace_checksum(const pcie::Trace& tr) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& r : tr.records()) {
-    mix(static_cast<std::uint64_t>(r.t.ps()));
-    mix(static_cast<std::uint64_t>(r.dir));
-    mix(static_cast<std::uint64_t>(r.is_dllp));
-    mix(static_cast<std::uint64_t>(r.tlp_type));
-    mix(static_cast<std::uint64_t>(r.dllp_type));
-    mix(r.bytes);
-    mix(r.tag);
-    mix(r.msg_id);
-    for (char c : r.kind) {
-      mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-    }
-  }
-  return h;
-}
-
 TEST(DeterminismGolden, PutBwOnThunderx2Cx4) {
   scenario::Testbed tb(scenario::presets::thunderx2_cx4());
   bench::PutBwBenchmark b(
@@ -61,7 +36,7 @@ TEST(DeterminismGolden, PutBwOnThunderx2Cx4) {
   EXPECT_EQ(tb.sim().events_processed(), 54885u);
   EXPECT_EQ(tb.sim().now().ps(), 623024806);
   EXPECT_EQ(tb.analyzer().trace().size(), 13200u);
-  EXPECT_EQ(trace_checksum(tb.analyzer().trace()), 0x4b310291a8770261ull);
+  EXPECT_EQ(tb.analyzer().trace().checksum(), 0x4b310291a8770261ull);
 }
 
 TEST(DeterminismGolden, AmLatOnThunderx2Cx4) {
@@ -72,7 +47,7 @@ TEST(DeterminismGolden, AmLatOnThunderx2Cx4) {
   EXPECT_EQ(tb.sim().events_processed(), 155301u);
   EXPECT_EQ(tb.sim().now().ps(), 1319178710);
   EXPECT_EQ(tb.analyzer().trace().size(), 4950u);
-  EXPECT_EQ(trace_checksum(tb.analyzer().trace()), 0x99a7aa2d313a960eull);
+  EXPECT_EQ(tb.analyzer().trace().checksum(), 0x99a7aa2d313a960eull);
 }
 
 // Collective determinism: an 8-rank allreduce schedule multiplexes four
@@ -92,7 +67,7 @@ TEST(DeterminismGolden, AllreduceOnThunderx2Cx4) {
   EXPECT_EQ(cl.sim().events_processed(), 74216u);
   EXPECT_EQ(cl.sim().now().ps(), 25006013113);
   EXPECT_EQ(cl.analyzer().trace().size(), 1275u);
-  EXPECT_EQ(trace_checksum(cl.analyzer().trace()), 0x1c3fe29c0a532d44ull);
+  EXPECT_EQ(cl.analyzer().trace().checksum(), 0x1c3fe29c0a532d44ull);
 }
 
 // Lossy-transport determinism: the wire injector's fault pattern is a
@@ -115,7 +90,7 @@ TEST(DeterminismGolden, LossyAllreduceIdenticalSerialVsParallel) {
     bench::OsuColl b(world, bench::OsuColl::Kind::kAllreduce, bc);
     (void)b.run();
     return std::tuple{cl.sim().events_processed(), cl.sim().now().ps(),
-                      trace_checksum(cl.analyzer().trace()),
+                      cl.analyzer().trace().checksum(),
                       cl.net_stats().packets_dropped};
   };
   const auto sw = exec::sweep(std::vector<int>{0, 1, 2, 3}, 42);
@@ -185,7 +160,7 @@ TEST(DeterminismGolden, MpiPingPongOnThunderx2Cx4) {
   EXPECT_EQ(tb.node(0).core.busy_time().ps(), 872804911);
   EXPECT_EQ(tb.node(1).core.busy_time().ps(), 871596094);
   EXPECT_EQ(tb.analyzer().trace().size(), 1812u);
-  EXPECT_EQ(trace_checksum(tb.analyzer().trace()), 0x99b944e2a794e80full);
+  EXPECT_EQ(tb.analyzer().trace().checksum(), 0x99b944e2a794e80full);
 }
 
 // The same ping-pong with ucp_worker_progress profiled: every pass runs
@@ -198,9 +173,9 @@ TEST(DeterminismGolden, ProfiledMpiPingPongOnThunderx2Cx4) {
   EXPECT_EQ(tb.node(0).core.busy_time().ps(), 932936275);
   EXPECT_EQ(tb.node(1).core.busy_time().ps(), 931600139);
   EXPECT_EQ(tb.analyzer().trace().size(), 1812u);
-  EXPECT_EQ(trace_checksum(tb.analyzer().trace()), 0x3b1fe0942086b562ull);
-  const char* region = prof::name(prof::Point::kUcpWorkerProgress);
-  EXPECT_EQ(tb.node(0).profiler.samples(region).size(), 9201u);
+  EXPECT_EQ(tb.analyzer().trace().checksum(), 0x3b1fe0942086b562ull);
+  EXPECT_EQ(tb.node(0).profiler.samples(prof::Point::kUcpWorkerProgress).size(),
+            9201u);
 }
 
 // MpiComm::waitall over osu_mbw_mr-style windows of 64 sends.
@@ -216,7 +191,7 @@ TEST(DeterminismGolden, MpiWaitallWindowsOnThunderx2Cx4) {
   EXPECT_EQ(tb.node(0).core.busy_time().ps(), 370930172);
   EXPECT_EQ(tb.node(1).core.busy_time().ps(), 0);
   EXPECT_EQ(tb.analyzer().trace().size(), 4290u);
-  EXPECT_EQ(trace_checksum(tb.analyzer().trace()), 0x37c8fa8136be1f57ull);
+  EXPECT_EQ(tb.analyzer().trace().checksum(), 0x37c8fa8136be1f57ull);
 }
 
 // Lossy collective traffic, then waits no peer will ever satisfy: rank 0
@@ -266,7 +241,7 @@ TEST(DeterminismGolden, LossyCollWaitTimeoutOnThunderx2Cx4) {
   EXPECT_EQ(cl.node(0).core.busy_time().ps(), 403692999);
   EXPECT_EQ(cl.node(1).core.busy_time().ps(), 404443679);
   EXPECT_EQ(cl.analyzer().trace().size(), 603u);
-  EXPECT_EQ(trace_checksum(cl.analyzer().trace()), 0xb37c0127d6dfd3d3ull);
+  EXPECT_EQ(cl.analyzer().trace().checksum(), 0xb37c0127d6dfd3d3ull);
 }
 
 // Two runs with the same seed must agree event-for-event, independent of
@@ -279,7 +254,7 @@ TEST(DeterminismGolden, BackToBackRunsAreIdentical) {
         tb, {.messages = 500, .warmup = 50, .capture_trace = true});
     (void)b.run();
     return std::tuple{tb.sim().events_processed(), tb.sim().now().ps(),
-                      trace_checksum(tb.analyzer().trace())};
+                      tb.analyzer().trace().checksum()};
   };
   EXPECT_EQ(run_once(), run_once());
 }

@@ -155,11 +155,11 @@ TEST(Endpoint, ProfiledSubstepsMatchFig4Constituents) {
   }(ep));
   tb.sim().run();
   auto& prof = tb.node(0).profiler;
-  EXPECT_NEAR(prof.mean_ns("MD setup"), 27.78, 1e-6);
-  EXPECT_NEAR(prof.mean_ns("Barrier for MD"), 17.33, 1e-6);
-  EXPECT_NEAR(prof.mean_ns("Barrier for DBC"), 21.07, 1e-6);
-  EXPECT_NEAR(prof.mean_ns("PIO copy"), 94.25, 1e-6);
-  EXPECT_NEAR(prof.mean_ns("Other"), 14.99, 1e-6);
+  EXPECT_NEAR(prof.mean_ns(prof::Point::kMdSetup), 27.78, 1e-6);
+  EXPECT_NEAR(prof.mean_ns(prof::Point::kBarrierMd), 17.33, 1e-6);
+  EXPECT_NEAR(prof.mean_ns(prof::Point::kBarrierDbc), 21.07, 1e-6);
+  EXPECT_NEAR(prof.mean_ns(prof::Point::kPioCopy), 94.25, 1e-6);
+  EXPECT_NEAR(prof.mean_ns(prof::Point::kPostOther), 14.99, 1e-6);
 }
 
 TEST(Endpoint, ProfiledTotalMatchesTable1) {
@@ -170,7 +170,7 @@ TEST(Endpoint, ProfiledTotalMatchesTable1) {
     for (int i = 0; i < 5; ++i) (void)co_await e.put_short(8);
   }(ep));
   tb.sim().run();
-  EXPECT_NEAR(tb.node(0).profiler.mean_ns("LLP_post"), 175.42, 1e-6);
+  EXPECT_NEAR(tb.node(0).profiler.mean_ns(prof::Point::kLlpPost), 175.42, 1e-6);
 }
 
 }  // namespace

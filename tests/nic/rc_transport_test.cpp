@@ -196,22 +196,6 @@ TEST(RcTransport, RetryExhaustionErrorsFlushesAndRecovers) {
   EXPECT_EQ(tb.node(0).nic.tx_unacked(), 0u);
 }
 
-TEST(RcTransport, TransportCountersReachTheProfiler) {
-  fault::WireFaultConfig w;
-  w.scheduled.push_back({fault::WireOneShot::Kind::kDropData, 0, 1});
-  Testbed tb(with_wire(w));
-  auto& ep = tb.add_endpoint(0);
-  tb.sim().spawn(pump(tb.node(0), ep, 1));
-  tb.sim().run();
-
-  tb.publish_net_counters();
-  const net::TransportStats s = tb.net_stats();
-  EXPECT_EQ(tb.node(0).profiler.counter("net.packets_sent"), s.packets_sent);
-  EXPECT_EQ(tb.node(0).profiler.counter("net.packets_dropped"),
-            s.packets_dropped);
-  EXPECT_EQ(tb.node(0).profiler.counter("net.retransmits"), s.retransmits);
-}
-
 TEST(RcTransport, LossFreeRunsKeepProtocolStateOnly) {
   // With no wire faults configured the RC machinery is pure bookkeeping:
   // no retry timers, no NAKs, no retransmissions -- the property that

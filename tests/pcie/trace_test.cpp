@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <variant>
+#include <vector>
+
 namespace bb::pcie {
 namespace {
 
@@ -27,7 +32,7 @@ TEST(Trace, RecordsCarryMsgIdAndKind) {
                                 64, 42));
   ASSERT_EQ(tr.size(), 1u);
   EXPECT_EQ(tr.records()[0].msg_id, 42u);
-  EXPECT_EQ(tr.records()[0].kind, "PIO-MD");
+  EXPECT_EQ(tr.records()[0].kind(), "PIO-MD");
 }
 
 TEST(Trace, DownstreamWritesFiltersDirectionTypeAndSize) {
@@ -116,6 +121,42 @@ TEST(Trace, CsvExport) {
             std::string::npos);
   EXPECT_NE(csv.find("282.330,down,MWr,64,PIO-MD,5"), std::string::npos);
   EXPECT_NE(csv.find("300.000,up,Ack,8"), std::string::npos);
+}
+
+TEST(Trace, LabelsEveryContentEveryDllpAndTheEpBit) {
+  // One TLP per TlpContent alternative (in variant order), the three
+  // DLLP types, then a poisoned PIO descriptor.
+  const TlpContent contents[] = {
+      std::monostate{}, DoorbellWrite{}, DescriptorWrite{}, CqeWrite{},
+      PayloadWrite{},   ReadRequest{},   ReadCompletion{}};
+  static_assert(std::size(contents) == std::variant_size_v<TlpContent>);
+  Trace tr;
+  for (const TlpContent& c : contents) {
+    Tlp t;
+    t.content = c;
+    tr.record_tlp(1_ns, t);
+  }
+  for (DllpType d : {DllpType::kAck, DllpType::kNak, DllpType::kUpdateFC}) {
+    Dllp dllp;
+    dllp.type = d;
+    tr.record_dllp(2_ns, Direction::kUpstream, dllp);
+  }
+  Tlp ep = make_tlp(TlpType::kMemWrite, Direction::kDownstream, 64, 7);
+  ep.poisoned = true;
+  tr.record_tlp(50_ns, ep);
+
+  const std::vector<std::string> want = {
+      "-",        "DoorBell", "PIO-MD", "CQE",      "payload", "DMA-read",
+      "DMA-data", "Ack",      "Nak",    "UpdateFC", "PIO-MD!EP"};
+  ASSERT_EQ(tr.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(tr.records()[i].kind(), want[i]) << "record " << i;
+  }
+  EXPECT_NE(tr.render(0, want.size())
+                .find("          50.00  down  MWr          64  PIO-MD!EP  7\n"),
+            std::string::npos);
+  EXPECT_NE(tr.to_csv().find("\n50.000,down,MWr,64,PIO-MD!EP,7\n"),
+            std::string::npos);
 }
 
 TEST(Analyzer, DisabledCaptureRecordsNothing) {

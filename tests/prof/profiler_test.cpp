@@ -34,7 +34,7 @@ TEST(Profiler, CompensatedDurationMatchesRegionWork) {
   f.core.consume(175.42_ns);
   f.prof.end(r);
   // With deterministic overhead, compensation is exact.
-  EXPECT_NEAR(f.prof.mean_ns(name(kWork)), 175.42, 1e-6);
+  EXPECT_NEAR(f.prof.mean_ns(kWork), 175.42, 1e-6);
 }
 
 TEST(Profiler, PerturbsTimelineByOneOverheadPerRegion) {
@@ -53,7 +53,7 @@ TEST(Profiler, DisabledCostsAndRecordsNothing) {
   f.core.consume(100_ns);
   f.prof.end(r);
   EXPECT_NEAR(f.core.virtual_now().to_ns(), 100.0, 1e-9);
-  EXPECT_FALSE(f.prof.has(name(kWork)));
+  EXPECT_FALSE(f.prof.has(kWork));
 }
 
 TEST(Profiler, UnselectedPointCostsAndRecordsNothing) {
@@ -64,7 +64,7 @@ TEST(Profiler, UnselectedPointCostsAndRecordsNothing) {
   f.core.consume(100_ns);
   f.prof.end(r);
   EXPECT_NEAR(f.core.virtual_now().to_ns(), 100.0, 1e-9);
-  EXPECT_FALSE(f.prof.has(name(kWork)));
+  EXPECT_FALSE(f.prof.has(kWork));
 }
 
 TEST(Profiler, NestedRegionsInnerInflatesOuterRaw) {
@@ -78,8 +78,8 @@ TEST(Profiler, NestedRegionsInnerInflatesOuterRaw) {
   f.core.consume(30_ns);
   f.prof.end(inner);
   f.prof.end(outer);
-  EXPECT_NEAR(f.prof.mean_ns(name(kInner)), 30.0, 1e-6);
-  EXPECT_NEAR(f.prof.mean_ns(name(kOuter)), 80.0 + 49.69, 1e-6);
+  EXPECT_NEAR(f.prof.mean_ns(kInner), 30.0, 1e-6);
+  EXPECT_NEAR(f.prof.mean_ns(kOuter), 80.0 + 49.69, 1e-6);
 }
 
 TEST(Profiler, NoisyOverheadCompensationIsUnbiased) {
@@ -92,16 +92,9 @@ TEST(Profiler, NoisyOverheadCompensationIsUnbiased) {
     f.core.consume(100_ns);
     f.prof.end(r);
   }
-  const Summary s = f.prof.samples(name(kWork)).summarize();
+  const Summary s = f.prof.samples(kWork).summarize();
   EXPECT_NEAR(s.mean, 100.0, 0.15);   // unbiased
   EXPECT_NEAR(s.stddev, 1.48, 0.35);  // residual = timer noise
-}
-
-TEST(Profiler, RecordNsForDerivedComponents) {
-  Fixture f(deterministic_model());
-  f.prof.record_ns("MPICH (derived)", 24.37);
-  f.prof.record_ns("MPICH (derived)", 24.37);
-  EXPECT_NEAR(f.prof.mean_ns("MPICH (derived)"), 24.37, 1e-9);
 }
 
 TEST(Profiler, ReportListsRegions) {
@@ -114,66 +107,36 @@ TEST(Profiler, ReportListsRegions) {
   EXPECT_NE(rep.find("175.42"), std::string::npos);
 }
 
+TEST(Profiler, ReportListsRecordedPointsInPointOrder) {
+  // MPI_Isend opens first and closes last, yet kUcpTagSendNb precedes
+  // kMpiIsend in Point order; kLlpPost recorded nothing and is absent.
+  Fixture f(deterministic_model());
+  auto outer = f.prof.begin(kOuter);
+  auto inner = f.prof.begin(kInner);
+  f.prof.end(inner);
+  f.prof.end(outer);
+  const std::string rep = f.prof.report();
+  const auto inner_at = rep.find(name(kInner));
+  const auto outer_at = rep.find(name(kOuter));
+  ASSERT_NE(inner_at, std::string::npos);
+  ASSERT_NE(outer_at, std::string::npos);
+  EXPECT_LT(inner_at, outer_at);
+  EXPECT_EQ(rep.find(name(kWork)), std::string::npos);
+}
+
 TEST(Profiler, OverheadMeanExposed) {
   Fixture f(deterministic_model());
   EXPECT_NEAR(f.prof.overhead_mean_ns(), 49.69, 1e-9);
 }
 
-TEST(Profiler, SnapshotDetachesFromLiveProfiler) {
+TEST(Profiler, ClearDropsRecordedSamples) {
   Fixture f(deterministic_model());
-  f.prof.record_ns("LLP_post", 175.0);
-  f.prof.note_count("posts", 3);
-  const ProfileData snap = f.prof.snapshot();
+  auto r = f.prof.begin(kWork);
+  f.prof.end(r);
+  ASSERT_TRUE(f.prof.has(kWork));
+  EXPECT_EQ(f.prof.samples(kWork).size(), 1u);
   f.prof.clear();
-  EXPECT_FALSE(f.prof.has("LLP_post"));
-  EXPECT_EQ(snap.regions.at("LLP_post").summarize().count, 1u);
-  EXPECT_EQ(snap.counters.at("posts"), 3u);
-}
-
-TEST(ProfileData, MergeAppendsRegionsAndAddsCounters) {
-  // The bb::exec aggregation path: per-job snapshots folded in grid
-  // order into one report.
-  Fixture a(deterministic_model());
-  a.prof.record_ns("LLP_post", 100.0);
-  a.prof.record_ns("LLP_post", 200.0);
-  a.prof.note_count("posts", 2);
-  Fixture b(deterministic_model());
-  b.prof.record_ns("LLP_post", 300.0);
-  b.prof.record_ns("LLP_prog", 60.0);
-  b.prof.note_count("posts", 1);
-  b.prof.note_count("polls", 5);
-
-  ProfileData total = a.prof.snapshot();
-  total.merge(b.prof.snapshot());
-  EXPECT_EQ(total.regions.at("LLP_post").summarize().count, 3u);
-  EXPECT_NEAR(total.regions.at("LLP_post").summarize().mean, 200.0, 1e-9);
-  EXPECT_EQ(total.regions.at("LLP_prog").summarize().count, 1u);
-  EXPECT_EQ(total.counters.at("posts"), 3u);
-  EXPECT_EQ(total.counters.at("polls"), 5u);
-}
-
-TEST(ProfileData, MergeOrderIsDeterministic) {
-  // this-first, then other: merging A<-B and A'<-B' with identical
-  // inputs yields identical sample order (what makes the parallel
-  // aggregate bit-identical to the serial one).
-  ProfileData a1, b1, a2, b2;
-  a1.regions["r"].add_ns(1.0);
-  b1.regions["r"].add_ns(2.0);
-  a2.regions["r"].add_ns(1.0);
-  b2.regions["r"].add_ns(2.0);
-  a1.merge(b1);
-  a2.merge(b2);
-  EXPECT_EQ(a1.regions["r"].values_ns(), a2.regions["r"].values_ns());
-  EXPECT_EQ(a1.report(), a2.report());
-}
-
-TEST(ProfileData, EmptyAndReport) {
-  ProfileData d;
-  EXPECT_TRUE(d.empty());
-  d.counters["faults"] = 7;
-  EXPECT_FALSE(d.empty());
-  const std::string rep = d.report();
-  EXPECT_NE(rep.find("faults"), std::string::npos);
+  EXPECT_FALSE(f.prof.has(kWork));
 }
 
 }  // namespace

@@ -33,7 +33,6 @@ Fabric::Fabric(sim::Simulator& sim, NetParams params, int node_count,
   handlers_.resize(static_cast<std::size_t>(node_count));
   next_free_.resize(static_cast<std::size_t>(node_count));
   last_arrival_.resize(static_cast<std::size_t>(node_count));
-  rx_next_free_.resize(static_cast<std::size_t>(node_count));
 }
 
 void Fabric::attach(int node, Handler h) {
@@ -90,11 +89,6 @@ void Fabric::send(NetPacket pkt) {
   }
 
   const auto dst = static_cast<std::size_t>(pkt.dst_node);
-  if (params_.model_incast) {
-    // Converging flows drain one at a time through the receiver port.
-    arrive = std::max(arrive, rx_next_free_[dst]);
-    rx_next_free_[dst] = arrive + params_.serialize(pkt.payload_bytes);
-  }
   const bool corrupt = fate == fault::WireInjector::Fate::kCorrupt;
   if (fate == fault::WireInjector::Fate::kDuplicate) {
     // The second copy trails the first by one serialization slot and

@@ -37,12 +37,6 @@ struct NetParams {
   double serialize_ns_per_byte = 0.08;
   /// Fixed per-packet framing bytes for serialization purposes.
   std::uint32_t header_bytes = 30;
-  /// Model receiver-port occupancy: packets converging on one node
-  /// (incast, the many-senders pattern collectives create) queue behind
-  /// each other at the destination at the same serialization rate the
-  /// sender pays. Off by default -- the two-node testbed cannot incast,
-  /// and existing goldens are bit-identical with the knob off.
-  bool model_incast = false;
 
   /// Total one-way fabric latency ("Network" in the paper's terminology).
   TimePs network_latency() const {
@@ -122,8 +116,6 @@ class Fabric {
   // Per-sender transmitter state for serialization and ordering.
   std::vector<TimePs> next_free_;
   std::vector<TimePs> last_arrival_;
-  // Per-receiver port occupancy (only advanced when model_incast is on).
-  std::vector<TimePs> rx_next_free_;
   TransportStats stats_;
 };
 

@@ -30,16 +30,13 @@ Nic::Nic(sim::Simulator& sim, pcie::Link& link, net::Fabric& fabric,
       node_id_(node_id),
       params_(params),
       host_(host),
-      up_credits_(up_credits),
-      up_ingress_(sim),
-      up_credit_avail_(sim) {
+      up_gate_(sim, link, pcie::Direction::kUpstream, up_credits) {
   link_.set_b_tlp_handler([this](const pcie::Tlp& t) { on_downstream_tlp(t); });
   link_.set_b_dllp_handler(
       [this](const pcie::Dllp& d) { on_downstream_dllp(d); });
   fabric_.attach(node_id_, [this](const net::NetPacket& p) {
     on_fabric_packet(p);
   });
-  sim_.spawn(upstream_pump(), "nic-upstream-pump");
 }
 
 void Nic::on_downstream_tlp(const pcie::Tlp& tlp) {
@@ -83,9 +80,15 @@ void Nic::on_downstream_tlp(const pcie::Tlp& tlp) {
       // Match against the outstanding read.
       auto it = pending_reads_.find(tlp.tag);
       BB_ASSERT_MSG(it != pending_reads_.end(), "CplD for unknown tag");
-      const pcie::ReadRequest req = it->second.req;
+      const pcie::WireMd md = it->second.md;
       pending_reads_.erase(it);
-      on_read_completion(req, *rc);
+      if (rc->what == pcie::ReadRequest::What::kDescriptor) {
+        on_descriptor(rc->md);  // DMA path: the MD fetched from the host ring
+      } else {
+        // The payload arrived for the descriptor this read was issued for.
+        sim_.call_in(TimePs::from_ns(params_.tx_proc_ns),
+                     [this, md] { inject(md); });
+      }
       return;
     }
     case pcie::TlpType::kMemRead:
@@ -125,17 +128,12 @@ void Nic::on_poisoned_tlp(const pcie::Tlp& tlp) {
         if (fault_stats_) ++fault_stats_->read_retries;
         pcie::ReadRequest retry = pr.req;
         retry.retry = true;
-        issue_dma_read(retry, pr.attempts + 1);
+        issue_dma_read(retry, pr.md, pr.attempts + 1);
         return;
       }
       if (pr.req.what == pcie::ReadRequest::What::kPayload) {
         // Retries exhausted: fail the descriptor waiting on this payload.
-        auto wit = staged_payload_wait_.find(pr.req.host_addr);
-        BB_ASSERT_MSG(wit != staged_payload_wait_.end(),
-                      "poisoned payload CplD with no waiting descriptor");
-        const pcie::WireMd md = wit->second;
-        staged_payload_wait_.erase(wit);
-        complete_with_error(md.qp, md.msg_id);
+        complete_with_error(pr.md.qp, pr.md.msg_id);
         return;
       }
       // Descriptor fetch failed. If the host served it, the descriptor
@@ -173,25 +171,23 @@ void Nic::complete_with_error(std::uint32_t qp, std::uint64_t msg_id,
   ++cqes_written_;
   ++error_cqes_;
   if (fault_stats_) ++fault_stats_->error_cqes;
-  send_upstream(std::move(tlp));
+  send_upstream(tlp);
 }
 
 void Nic::on_downstream_dllp(const pcie::Dllp& d) {
-  if (d.type == pcie::DllpType::kUpdateFC) {
-    up_credits_.replenish(d);
-    up_credit_avail_.fire();
-  }
+  if (d.type == pcie::DllpType::kUpdateFC) up_gate_.replenish(d);
 }
 
-void Nic::issue_dma_read(pcie::ReadRequest req, int attempts) {
+void Nic::issue_dma_read(const pcie::ReadRequest& req,
+                         const pcie::WireMd& md, int attempts) {
   pcie::Tlp tlp;
   tlp.type = pcie::TlpType::kMemRead;
   tlp.bytes = 0;  // MRd carries no data
   tlp.tag = next_tag_++;
   tlp.content = req;
-  pending_reads_[tlp.tag] = PendingRead{req, attempts};
+  pending_reads_[tlp.tag] = PendingRead{req, md, attempts};
   ++dma_reads_issued_;
-  send_upstream(std::move(tlp));
+  send_upstream(tlp);
 }
 
 void Nic::on_descriptor(const pcie::WireMd& md) {
@@ -207,24 +203,7 @@ void Nic::on_descriptor(const pcie::WireMd& md) {
   preq.qp = md.qp;
   preq.host_addr = md.host_payload_addr;
   preq.bytes = md.payload_bytes;
-  staged_payload_wait_[md.host_payload_addr] = md;
-  issue_dma_read(preq);
-}
-
-void Nic::on_read_completion(const pcie::ReadRequest& req,
-                             const pcie::ReadCompletion& rc) {
-  if (rc.what == pcie::ReadRequest::What::kDescriptor) {
-    on_descriptor(rc.md);  // DMA path: the MD fetched from the host ring
-    return;
-  }
-  // Payload arrived; find the descriptor waiting on this address.
-  auto it = staged_payload_wait_.find(req.host_addr);
-  BB_ASSERT_MSG(it != staged_payload_wait_.end(),
-                "payload CplD with no waiting descriptor");
-  const pcie::WireMd md = it->second;
-  staged_payload_wait_.erase(it);
-  sim_.call_in(TimePs::from_ns(params_.tx_proc_ns),
-               [this, md] { inject(md); });
+  issue_dma_read(preq, md);
 }
 
 void Nic::inject(const pcie::WireMd& md) {
@@ -243,23 +222,6 @@ void Nic::inject(const pcie::WireMd& md) {
   ++messages_injected_;
   fabric_.send(net::NetPacket::data(md, node_id_, dst, psn));
   arm_retry_timer(md.qp, f);
-}
-
-void Nic::send_upstream(pcie::Tlp tlp) {
-  tlp.dir = pcie::Direction::kUpstream;
-  up_ingress_.send(std::move(tlp));
-}
-
-sim::Task<void> Nic::upstream_pump() {
-  for (;;) {
-    pcie::Tlp tlp = co_await up_ingress_.receive();
-    while (!up_credits_.can_send(tlp)) {
-      ++credit_stalls_;
-      co_await up_credit_avail_.wait();
-    }
-    up_credits_.consume(tlp);
-    link_.send_upstream(std::move(tlp));
-  }
 }
 
 void Nic::send_ctrl(net::NetPacket::Kind kind, std::uint32_t qp,
@@ -351,7 +313,7 @@ void Nic::on_data_packet(const net::NetPacket& pkt) {
                  pw.user_data = md.user_data;
                  pw.op = md.op;
                  tlp.content = pw;
-                 send_upstream(std::move(tlp));
+                 send_upstream(tlp);
                });
   // §2 step 4: acknowledge to the initiator NIC. The ACK does not wait
   // for the payload's RC-to-MEM commit.
@@ -378,22 +340,26 @@ void Nic::complete_message(const pcie::WireMd& md) {
     tlp.content = cqe;
     pending = 0;
     ++cqes_written_;
-    send_upstream(std::move(tlp));
+    send_upstream(tlp);
   }
+}
+
+bool Nic::retire_acked(TxFlow& f, std::uint64_t end_psn) {
+  bool progress = false;
+  while (!f.unacked.empty() && f.unacked.front().psn < end_psn) {
+    const pcie::WireMd md = f.unacked.front().md;
+    f.unacked.pop_front();
+    progress = true;
+    complete_message(md);
+  }
+  return progress;
 }
 
 void Nic::on_rc_ack(std::uint32_t qp, std::uint64_t psn) {
   TxFlow& f = tx_flows_[qp];
   ++tstats_.acks_received;
   if (f.state != QpState::kRts) return;  // stale ACK after error/reset
-  bool progress = false;
-  while (!f.unacked.empty() && f.unacked.front().psn <= psn) {
-    const pcie::WireMd md = f.unacked.front().md;
-    f.unacked.pop_front();
-    progress = true;
-    complete_message(md);
-  }
-  if (!progress) return;  // duplicate cumulative ACK
+  if (!retire_acked(f, psn + 1)) return;  // duplicate cumulative ACK
   // Forward progress resets the retry budget and backoff (IB semantics:
   // the budgets bound *consecutive* failures).
   f.retry_count = 0;
@@ -409,11 +375,7 @@ void Nic::on_rc_nak(std::uint32_t qp, std::uint64_t psn) {
   ++tstats_.naks_received;
   if (f.state != QpState::kRts) return;
   // A NAK for `psn` implicitly ACKs everything before it.
-  while (!f.unacked.empty() && f.unacked.front().psn < psn) {
-    const pcie::WireMd md = f.unacked.front().md;
-    f.unacked.pop_front();
-    complete_message(md);
-  }
+  retire_acked(f, psn);
   if (f.rnr_wait) return;  // backoff pending; it will retransmit anyway
   retransmit_flow(qp);
   cancel_retry_timer(f);
@@ -425,11 +387,7 @@ void Nic::on_rnr_nak(std::uint32_t qp, std::uint64_t psn) {
   ++tstats_.rnr_naks_received;
   if (f.state != QpState::kRts) return;
   // Everything before the refused PSN was accepted.
-  while (!f.unacked.empty() && f.unacked.front().psn < psn) {
-    const pcie::WireMd md = f.unacked.front().md;
-    f.unacked.pop_front();
-    complete_message(md);
-  }
+  retire_acked(f, psn);
   if (f.rnr_wait) return;  // one backoff at a time
   ++f.rnr_count;
   if (f.rnr_count > params_.rnr_retry_cnt) {
@@ -523,15 +481,18 @@ void Nic::qp_error(std::uint32_t qp) {
   // Flush the send queue: the head WQE is the one whose retries
   // exhausted (kIoError); everything behind it never got a verdict and
   // is flushed (kFlushed), verbs-style.
-  bool first = true;
+  flush_unacked(qp, f, common::Status::kIoError);
+}
+
+void Nic::flush_unacked(std::uint32_t qp, TxFlow& f,
+                        common::Status head_status) {
+  common::Status status = head_status;
   while (!f.unacked.empty()) {
-    const TxEntry e = f.unacked.front();
+    const std::uint64_t msg_id = f.unacked.front().md.msg_id;
     f.unacked.pop_front();
     ++tstats_.flushed_wqes;
-    complete_with_error(qp, e.md.msg_id,
-                        first ? common::Status::kIoError
-                              : common::Status::kFlushed);
-    first = false;
+    complete_with_error(qp, msg_id, status);
+    status = common::Status::kFlushed;
   }
 }
 
@@ -549,12 +510,7 @@ std::size_t Nic::tx_unacked() const {
 void Nic::qp_reset(std::uint32_t qp) {
   TxFlow& f = tx_flows_[qp];
   cancel_retry_timer(f);
-  while (!f.unacked.empty()) {
-    const TxEntry e = f.unacked.front();
-    f.unacked.pop_front();
-    ++tstats_.flushed_wqes;
-    complete_with_error(qp, e.md.msg_id, common::Status::kFlushed);
-  }
+  flush_unacked(qp, f, common::Status::kFlushed);
   f.state = QpState::kReset;
   f.retry_count = 0;
   f.rnr_count = 0;

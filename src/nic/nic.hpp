@@ -46,9 +46,8 @@
 #include "net/fabric.hpp"
 #include "nic/queues.hpp"
 #include "pcie/credit.hpp"
+#include "pcie/credit_gate.hpp"
 #include "pcie/link.hpp"
-#include "sim/channel.hpp"
-#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 
 namespace bb::nic {
@@ -138,7 +137,7 @@ class Nic {
   std::uint64_t acks_received() const { return acks_received_; }
   std::uint64_t cqes_written() const { return cqes_written_; }
   std::uint64_t dma_reads_issued() const { return dma_reads_issued_; }
-  std::uint64_t credit_stalls() const { return credit_stalls_; }
+  std::uint64_t credit_stalls() const { return up_gate_.stalls(); }
   std::uint64_t error_cqes() const { return error_cqes_; }
   std::uint64_t read_retries() const { return read_retries_; }
   /// RC-transport counters (protocol side; the fabric holds the wire side).
@@ -157,16 +156,16 @@ class Nic {
 
   /// Injects a ready descriptor onto the fabric after tx processing.
   void inject(const pcie::WireMd& md);
-  /// Queues an upstream TLP through the credit-gated pump.
-  void send_upstream(pcie::Tlp tlp);
-  sim::Task<void> upstream_pump();
+  /// Queues an upstream TLP behind the RC's credits.
+  void send_upstream(const pcie::Tlp& tlp) { up_gate_.send(tlp); }
 
   /// A descriptor reached the NIC (PIO write or DMA fetch): inject an
   /// inline one after tx processing, else fetch its payload first.
   void on_descriptor(const pcie::WireMd& md);
-  void issue_dma_read(pcie::ReadRequest req, int attempts = 0);
-  void on_read_completion(const pcie::ReadRequest& req,
-                          const pcie::ReadCompletion& rc);
+  /// Issues an MRd for `req`; a payload read carries the descriptor `md`
+  /// it fetches for.
+  void issue_dma_read(const pcie::ReadRequest& req,
+                      const pcie::WireMd& md = {}, int attempts = 0);
   /// Fault recovery: handles a poisoned downstream TLP (error-forwarded
   /// after exhausted link replays).
   void on_poisoned_tlp(const pcie::Tlp& tlp);
@@ -181,6 +180,12 @@ class Nic {
   void on_data_packet(const net::NetPacket& pkt);
   /// Completion generation for one cumulatively-ACKed message (§2 step 5).
   void complete_message(const pcie::WireMd& md);
+  /// Completes every unacked packet on `f` with a PSN below `end_psn`
+  /// (cumulative acknowledgement); returns whether any retired.
+  bool retire_acked(TxFlow& f, std::uint64_t end_psn);
+  /// Retires every unacked WQE on `qp` with an error CQE: the head with
+  /// `head_status`, the rest kFlushed.
+  void flush_unacked(std::uint32_t qp, TxFlow& f, common::Status head_status);
   void on_rc_ack(std::uint32_t qp, std::uint64_t psn);
   void on_rc_nak(std::uint32_t qp, std::uint64_t psn);
   void on_rnr_nak(std::uint32_t qp, std::uint64_t psn);
@@ -208,9 +213,8 @@ class Nic {
   NicParams params_;
   HostMemory& host_;
 
-  pcie::CreditState up_credits_;
-  sim::Channel<pcie::Tlp> up_ingress_;
-  sim::Signal up_credit_avail_;
+  /// Upstream TLPs wait here for the Root Complex's credits.
+  pcie::CreditGate up_gate_;
 
   /// Requester-side RC flow state, one per QP.
   struct TxEntry {
@@ -249,14 +253,14 @@ class Nic {
 
   /// Per-QP count of retired-but-unsignalled ops awaiting the next CQE.
   std::map<std::uint32_t, std::uint32_t> pending_completes_;
-  /// Outstanding DMA reads by tag (attempts counts reissues so far).
+  /// Outstanding DMA reads by tag. A payload read holds the descriptor
+  /// waiting on it: the tag is unique, payload addresses need not be.
   struct PendingRead {
     pcie::ReadRequest req;
-    int attempts = 0;
+    pcie::WireMd md;   // payload reads only
+    int attempts = 0;  // reissues so far
   };
   std::map<std::uint64_t, PendingRead> pending_reads_;
-  /// Descriptors whose payload DMA read is in flight, by payload address.
-  std::map<std::uint64_t, pcie::WireMd> staged_payload_wait_;
   std::uint64_t next_tag_ = 1;
 
   /// Cumulative credit totals released back to the RC.
@@ -268,7 +272,6 @@ class Nic {
   std::uint64_t acks_received_ = 0;
   std::uint64_t cqes_written_ = 0;
   std::uint64_t dma_reads_issued_ = 0;
-  std::uint64_t credit_stalls_ = 0;
   std::uint64_t error_cqes_ = 0;
   std::uint64_t read_retries_ = 0;
 };

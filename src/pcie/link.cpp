@@ -67,18 +67,21 @@ void Link::transmit_attempt(Direction dir, const Tlp& tlp, std::uint64_t seq,
   arrive = std::max(arrive, st.last_arrival);  // posted-ordering guarantee
   st.last_arrival = arrive;
 
-  sim_.call_at(arrive,
-               [this, dir, tlp, seq, arrive, corrupt]() {
-    if (tap_ && dir == Direction::kDownstream) tap_->on_tlp(arrive, tlp);
+  // The capture must fit an event node's inline storage: the direction
+  // rides in `tlp.dir` and the arrival time is the event's own time.
+  sim_.call_at(arrive, [this, tlp, seq, corrupt]() {
+    if (tap_ && tlp.dir == Direction::kDownstream) {
+      tap_->on_tlp(sim_.now(), tlp);
+    }
 
     if (!faults_on()) {
       // Error-free fast path: accept unconditionally (sequences cannot be
       // disturbed), identical to the pre-fault model bit for bit.
-      deliver(dir, tlp, seq);
+      deliver(tlp.dir, tlp, seq);
       return;
     }
 
-    DirState& rx = dir_state(dir);
+    DirState& rx = dir_state(tlp.dir);
     if (corrupt) {
       // LCRC failure: discard and request retransmission once per
       // recovery window (further Naks are suppressed until the window
@@ -86,7 +89,7 @@ void Link::transmit_attempt(Direction dir, const Tlp& tlp, std::uint64_t seq,
       if (!rx.nak_outstanding) {
         rx.nak_outstanding = true;
         ++injector_->stats().naks_sent;
-        send_ack(dir, DllpType::kNak, rx.expected_seq - 1);
+        send_ack(tlp.dir, DllpType::kNak, rx.expected_seq - 1);
       }
       return;
     }
@@ -94,7 +97,7 @@ void Link::transmit_attempt(Direction dir, const Tlp& tlp, std::uint64_t seq,
       // Duplicate of an already-accepted TLP (a replay raced the Ack):
       // discard and re-acknowledge so the sender can purge it.
       ++injector_->stats().duplicates_dropped;
-      send_ack(dir, DllpType::kAck, rx.expected_seq - 1);
+      send_ack(tlp.dir, DllpType::kAck, rx.expected_seq - 1);
       return;
     }
     if (seq > rx.expected_seq) {
@@ -102,14 +105,14 @@ void Link::transmit_attempt(Direction dir, const Tlp& tlp, std::uint64_t seq,
       if (!rx.nak_outstanding) {
         rx.nak_outstanding = true;
         ++injector_->stats().naks_sent;
-        send_ack(dir, DllpType::kNak, rx.expected_seq - 1);
+        send_ack(tlp.dir, DllpType::kNak, rx.expected_seq - 1);
       }
       return;
     }
     // In sequence: accept.
     rx.expected_seq = seq + 1;
     rx.nak_outstanding = false;
-    deliver(dir, tlp, seq);
+    deliver(tlp.dir, tlp, seq);
   });
 }
 

@@ -9,32 +9,9 @@ RootComplex::RootComplex(sim::Simulator& sim, Link& link, RcParams params,
     : sim_(sim),
       link_(link),
       params_(params),
-      credits_(credits),
-      ingress_(sim),
-      credit_avail_(sim) {
+      gate_(sim, link, Direction::kDownstream, credits) {
   link_.set_a_tlp_handler([this](const Tlp& t) { on_upstream_tlp(t); });
   link_.set_a_dllp_handler([this](const Dllp& d) { on_upstream_dllp(d); });
-  sim_.spawn(downstream_pump(), "rc-downstream-pump");
-}
-
-void RootComplex::post_mmio(Tlp tlp) {
-  tlp.dir = Direction::kDownstream;
-  ingress_.send(std::move(tlp));
-}
-
-sim::Task<void> RootComplex::downstream_pump() {
-  for (;;) {
-    Tlp tlp = co_await ingress_.receive();
-    // §2: a transaction may be issued only with sufficient credits;
-    // otherwise wait for an UpdateFC from the NIC.
-    while (!credits_.can_send(tlp)) {
-      ++credit_stalls_;
-      co_await credit_avail_.wait();
-    }
-    credits_.consume(tlp);
-    ++mmio_issued_;
-    link_.send_downstream(std::move(tlp));
-  }
 }
 
 void RootComplex::on_upstream_tlp(const Tlp& tlp) {
@@ -98,10 +75,7 @@ void RootComplex::on_upstream_tlp(const Tlp& tlp) {
 }
 
 void RootComplex::on_upstream_dllp(const Dllp& d) {
-  if (d.type == DllpType::kUpdateFC) {
-    credits_.replenish(d);
-    credit_avail_.fire();
-  }
+  if (d.type == DllpType::kUpdateFC) gate_.replenish(d);
   // Acks/Naks: the error-free link needs no replay logic.
 }
 

@@ -3,9 +3,9 @@
 // fabric.
 //
 // Downstream: CPU cores deposit posted MMIO writes (DoorBell rings, PIO
-// descriptor copies); the RC issues them as MWr TLPs as soon as flow-
-// control credits allow. Its own generation cost is a few cycles and is
-// ignored, following §4.2.
+// descriptor copies); the RC's credit gate issues them as MWr TLPs as
+// soon as flow-control credits allow. Its own generation cost is a few
+// cycles and is ignored, following §4.2.
 //
 // Upstream: MWr TLPs from the NIC (completions, inbound payloads) are
 // committed to host memory after the RC-to-MEM(x B) latency and then
@@ -19,9 +19,8 @@
 
 #include "common/units.hpp"
 #include "pcie/credit.hpp"
+#include "pcie/credit_gate.hpp"
 #include "pcie/link.hpp"
-#include "sim/channel.hpp"
-#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 
 namespace bb::pcie {
@@ -58,33 +57,29 @@ class RootComplex {
 
   /// Posted MMIO write from a CPU core (fire-and-forget: posted writes do
   /// not stall the core). The caller must have flushed its core first.
-  void post_mmio(Tlp tlp);
+  void post_mmio(const Tlp& tlp) { gate_.send(tlp); }
 
   const RcParams& params() const { return params_; }
-  const CreditState& credits() const { return credits_; }
+  const CreditState& credits() const { return gate_.credits(); }
 
-  std::uint64_t mmio_issued() const { return mmio_issued_; }
+  std::uint64_t mmio_issued() const { return gate_.issued(); }
   std::uint64_t mem_writes_committed() const { return mem_writes_committed_; }
-  std::uint64_t credit_stalls() const { return credit_stalls_; }
+  std::uint64_t credit_stalls() const { return gate_.stalls(); }
 
  private:
-  sim::Task<void> downstream_pump();
   void on_upstream_tlp(const Tlp& tlp);
   void on_upstream_dllp(const Dllp& d);
 
   sim::Simulator& sim_;
   Link& link_;
   RcParams params_;
-  CreditState credits_;
+  /// Downstream MMIO writes wait here for the NIC's credits.
+  CreditGate gate_;
   /// Cumulative released-credit totals for the UpdateFCs we send the NIC.
   CreditLedger ledger_;
-  sim::Channel<Tlp> ingress_;
-  sim::Signal credit_avail_;
   MemorySink mem_sink_;
   ReadProvider read_provider_;
-  std::uint64_t mmio_issued_ = 0;
   std::uint64_t mem_writes_committed_ = 0;
-  std::uint64_t credit_stalls_ = 0;
 };
 
 }  // namespace bb::pcie

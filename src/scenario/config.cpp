@@ -92,10 +92,6 @@ Overlay coll_tuning(coll::CollTuning t) {
   return {"coll-tuning", [t](SystemConfig& c) { c.coll = t; }};
 }
 
-Overlay incast_modeling(bool on) {
-  return {"incast", [on](SystemConfig& c) { c.net.model_incast = on; }};
-}
-
 Overlay faults(fault::FaultConfig f) {
   return {"faults", [f = std::move(f)](SystemConfig& c) { c.fault = f; }};
 }

@@ -99,8 +99,6 @@ Overlay tso_cpu();
 Overlay deterministic();
 /// Replace the collective algorithm-selection thresholds.
 Overlay coll_tuning(coll::CollTuning t);
-/// Model receiver-port occupancy under incast (off by default).
-Overlay incast_modeling(bool on = true);
 /// Enable fault injection with an explicit plan.
 Overlay faults(fault::FaultConfig f);
 /// Convenience: uniform TLP corruption BER (the common ablation axis).

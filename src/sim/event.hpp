@@ -5,14 +5,13 @@
 // representation is built for zero steady-state heap traffic:
 //
 //  * An event is a 16-byte tagged `EventItem`: either a raw coroutine
-//    handle (the dominant case -- delays, channel wake-ups, signal fires)
-//    or a pointer to an `EventNode` holding a callback. Coroutine events
-//    therefore touch no pool and no allocator at all.
+//    handle (delays, signal fires, root starts) or a pointer to an
+//    `EventNode` holding a callback. Coroutine events therefore touch no
+//    pool and no allocator at all.
 //  * `EventNode` is a fixed-size, pool-recycled node for callbacks. The
 //    callable is constructed in place in the node's inline storage (no
-//    `std::function`, no move on dispatch). Callables larger than the
-//    inline buffer -- none exist on the hot path today -- fall back to a
-//    heap box, counted so benchmarks can flag them.
+//    `std::function`, no move on dispatch). A callable that does not fit
+//    is a compile error, so no event ever allocates.
 //  * `EventPool` hands nodes out of bump-allocated slabs with an intrusive
 //    free list; steady-state acquire/release never allocates.
 //  * `ReadyRing` is the FIFO for events at the current simulated time: an
@@ -25,11 +24,9 @@
 // previous `std::priority_queue` engine, which keeps seeded runs
 // byte-for-byte reproducible (see docs/SIM_ENGINE.md).
 
-#include <atomic>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -69,8 +66,8 @@ inline EventItem node_item(EventNode* n) {
 }
 
 struct EventNode {
-  /// Inline callable storage, sized for the largest hot-path capture
-  /// (the PCIe link delivery lambda: this + Tlp + seq + arrive = 152 B).
+  /// Inline callable storage, sized for the largest capture: the PCIe
+  /// link's TLP delivery lambda (this + Tlp + seq + corrupt = 152 B).
   static constexpr std::size_t kInlineBytes = 152;
 
   // Storage first: it inherits the node's max alignment at offset 0, and
@@ -83,49 +80,22 @@ struct EventNode {
   template <typename F>
   void set_callback(F&& fn) {
     using Fn = std::remove_cvref_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(storage)) Fn(std::forward<F>(fn));
-      invoke = [](EventNode* n) { (*n->payload<Fn>())(); };
-      if constexpr (std::is_trivially_destructible_v<Fn>) {
-        drop = nullptr;
-      } else {
-        drop = [](EventNode* n) { n->payload<Fn>()->~Fn(); };
-      }
+    static_assert(sizeof(Fn) <= kInlineBytes,
+                  "event callable exceeds EventNode::kInlineBytes");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "event callable is over-aligned");
+    ::new (static_cast<void*>(storage)) Fn(std::forward<F>(fn));
+    invoke = [](EventNode* n) { (*n->payload<Fn>())(); };
+    if constexpr (std::is_trivially_destructible_v<Fn>) {
+      drop = nullptr;
     } else {
-      // Oversized callable: boxed on the heap. Not steady-state -- counted
-      // so the allocation-free invariant stays observable.
-      boxed_events_counter().fetch_add(1, std::memory_order_relaxed);
-      Fn* box = new Fn(std::forward<F>(fn));
-      std::memcpy(storage, &box, sizeof(box));
-      invoke = [](EventNode* n) {
-        Fn* b;
-        std::memcpy(&b, n->storage, sizeof(b));
-        (*b)();
-      };
-      drop = [](EventNode* n) {
-        Fn* b;
-        std::memcpy(&b, n->storage, sizeof(b));
-        delete b;
-      };
+      drop = [](EventNode* n) { n->payload<Fn>()->~Fn(); };
     }
   }
 
   template <typename Fn>
   Fn* payload() {
     return std::launder(reinterpret_cast<Fn*>(storage));
-  }
-
-  /// Process-wide count of events whose callable overflowed the inline
-  /// buffer (diagnostic; the hot path must keep this at zero). Atomic:
-  /// bb::exec runs simulators on several threads, and this is the one
-  /// counter they legitimately share.
-  static std::uint64_t boxed_events() {
-    return boxed_events_counter().load(std::memory_order_relaxed);
-  }
-  static std::atomic<std::uint64_t>& boxed_events_counter() {
-    static std::atomic<std::uint64_t> count{0};
-    return count;
   }
 };
 
@@ -289,11 +259,11 @@ class ReadyRing {
 };
 
 /// FIFO of future events whose timestamps were scheduled in nondecreasing
-/// order -- the dominant pattern (fixed link/processing latencies yield
-/// monotone wakeups). Entries are strictly ordered by (time, seq) along
-/// the ring by construction, so push and pop are O(1); out-of-order
-/// timestamps fall back to the `TimerHeap` and the two are merged by
-/// (time, seq) at pop.
+/// order (fixed link/processing latencies yield monotone wakeups; see
+/// docs/SIM_ENGINE.md for the measured share per workload). Entries are
+/// strictly ordered by (time, seq) along the ring by construction, so
+/// push and pop are O(1); out-of-order timestamps fall back to the
+/// `TimerHeap` and the two are merged by (time, seq) at pop.
 class MonotoneRun {
  public:
   struct Slot {

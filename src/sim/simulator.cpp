@@ -18,7 +18,7 @@ Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
 Simulator::~Simulator() {
   // Destroy any still-suspended root frames. Nothing may be resumed after
-  // this, so dangling waiter entries inside channels are harmless.
+  // this, so dangling waiter entries inside signals are harmless.
   for (auto& r : roots_) {
     if (r.handle) r.handle.destroy();
   }
@@ -227,13 +227,6 @@ void Simulator::run_until(TimePs t) {
     step();
   }
   if (now_ < t) now_ = t;
-}
-
-bool Simulator::run_while_pending(const std::function<bool()>& pred) {
-  while (!pred()) {
-    if (!step()) return false;
-  }
-  return true;
 }
 
 }  // namespace bb::sim

@@ -2,21 +2,22 @@
 // The discrete-event simulator core.
 //
 // A `Simulator` advances a timeline of suspended coroutines and plain
-// callbacks. Processes are `Task<void>` coroutines spawned as roots; they
-// advance simulated time only by `co_await sim.delay(d)` or by blocking on
-// synchronization primitives (`Channel`, `Signal`). Events with equal
+// callbacks. Hardware components are callbacks (`call_at`/`call_in`);
+// software layers are `Task<void>` coroutines spawned as roots, which
+// advance simulated time only by `co_await sim.delay(d)`, by waiting on a
+// `Signal`, or by parking a blocking wait. Events with equal
 // timestamps run in FIFO spawn order (a monotonically increasing sequence
 // number breaks ties), which makes runs deterministic.
 //
 // The dispatch loop is built for near-zero per-event overhead (see
 // docs/SIM_ENGINE.md for the full design):
 //  * events live in pooled fixed-size nodes; callables are constructed in
-//    place (no `std::function`, no per-event heap allocation, no copy on
-//    pop);
-//  * events at the current time -- the dominant case -- go through an O(1)
-//    FIFO ready ring; future timestamps scheduled in nondecreasing order
-//    (fixed latencies) ride an O(1) monotone run queue; only out-of-order
-//    timestamps pay the (4-ary) heap;
+//    place (no `std::function`, no heap allocation -- a callable that
+//    does not fit a node is a compile error -- and no copy on pop);
+//  * events at the current time go through an O(1) FIFO ready ring;
+//    future timestamps scheduled in nondecreasing order (fixed latencies)
+//    ride an O(1) monotone run queue; only out-of-order timestamps pay
+//    the (4-ary) heap;
 //  * root-process failures set a flag via a promise hook instead of being
 //    discovered by a per-event scan over all roots;
 //  * a blocking wait's idle passes stay off the queue: parked waiters run
@@ -24,7 +25,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -119,16 +119,16 @@ class alignas(64) Simulator {
     enqueue(t, detail::coro_item(h));
   }
 
-  /// Fast path for wake-ups at the current time (Channel sends, Signal
-  /// fires): straight onto the ready ring, no heap involved.
+  /// Fast path for wake-ups at the current time (Signal fires): straight
+  /// onto the ready ring, no heap involved.
   void schedule_now(std::coroutine_handle<> h) {
     ring_.push(next_seq_++, detail::coro_item(h));
   }
 
   /// Schedules a callback at absolute time `t` (>= now). Stateless
   /// callables travel as a tagged bare function pointer; callables with
-  /// captures are constructed in place in a pooled event node (up to
-  /// `detail::EventNode::kInlineBytes` without touching the heap).
+  /// captures are constructed in place in a pooled event node and must
+  /// fit `detail::EventNode::kInlineBytes` (checked at compile time).
   template <typename F>
   void call_at(TimePs t, F&& fn) {
     BB_ASSERT_MSG(t >= now_, "cannot schedule into the past");
@@ -183,9 +183,6 @@ class alignas(64) Simulator {
   void run();
   /// Runs while events exist and now() <= t.
   void run_until(TimePs t);
-  /// Runs until `pred()` becomes true (checked after each event) or the
-  /// queue drains. Returns whether the predicate held.
-  bool run_while_pending(const std::function<bool()>& pred);
 
   /// Logical events: queue pops plus parked passes run inline. Parked
   /// passes count as the events they replace, so this is the count a run

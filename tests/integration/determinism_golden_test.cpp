@@ -33,7 +33,7 @@ TEST(DeterminismGolden, PutBwOnThunderx2Cx4) {
   bench::PutBwBenchmark b(
       tb, {.messages = 2000, .warmup = 200, .capture_trace = true});
   (void)b.run();
-  EXPECT_EQ(tb.sim().events_processed(), 54885u);
+  EXPECT_EQ(tb.sim().events_processed(), 54881u);
   EXPECT_EQ(tb.sim().now().ps(), 623024806);
   EXPECT_EQ(tb.analyzer().trace().size(), 13200u);
   EXPECT_EQ(tb.analyzer().trace().checksum(), 0x4b310291a8770261ull);
@@ -44,7 +44,7 @@ TEST(DeterminismGolden, AmLatOnThunderx2Cx4) {
   bench::AmLatBenchmark b(
       tb, {.iterations = 500, .warmup = 50, .capture_trace = true});
   (void)b.run();
-  EXPECT_EQ(tb.sim().events_processed(), 155301u);
+  EXPECT_EQ(tb.sim().events_processed(), 155297u);
   EXPECT_EQ(tb.sim().now().ps(), 1319178710);
   EXPECT_EQ(tb.analyzer().trace().size(), 4950u);
   EXPECT_EQ(tb.analyzer().trace().checksum(), 0x99a7aa2d313a960eull);
@@ -64,7 +64,7 @@ TEST(DeterminismGolden, AllreduceOnThunderx2Cx4) {
   cfg.warmup = 5;
   bench::OsuColl b(world, bench::OsuColl::Kind::kAllreduce, cfg);
   (void)b.run();
-  EXPECT_EQ(cl.sim().events_processed(), 74216u);
+  EXPECT_EQ(cl.sim().events_processed(), 74200u);
   EXPECT_EQ(cl.sim().now().ps(), 25006013113);
   EXPECT_EQ(cl.analyzer().trace().size(), 1275u);
   EXPECT_EQ(cl.analyzer().trace().checksum(), 0x1c3fe29c0a532d44ull);
@@ -155,7 +155,7 @@ void run_pingpong(scenario::Testbed& tb, bool profiled) {
 TEST(DeterminismGolden, MpiPingPongOnThunderx2Cx4) {
   scenario::Testbed tb(scenario::presets::thunderx2_cx4());
   run_pingpong(tb, /*profiled=*/false);
-  EXPECT_EQ(tb.sim().events_processed(), 57434u);
+  EXPECT_EQ(tb.sim().events_processed(), 57430u);
   EXPECT_EQ(tb.sim().now().ps(), 872804911);
   EXPECT_EQ(tb.node(0).core.busy_time().ps(), 872804911);
   EXPECT_EQ(tb.node(1).core.busy_time().ps(), 871596094);
@@ -168,7 +168,7 @@ TEST(DeterminismGolden, MpiPingPongOnThunderx2Cx4) {
 TEST(DeterminismGolden, ProfiledMpiPingPongOnThunderx2Cx4) {
   scenario::Testbed tb(scenario::presets::thunderx2_cx4());
   run_pingpong(tb, /*profiled=*/true);
-  EXPECT_EQ(tb.sim().events_processed(), 29838u);
+  EXPECT_EQ(tb.sim().events_processed(), 29834u);
   EXPECT_EQ(tb.sim().now().ps(), 932936275);
   EXPECT_EQ(tb.node(0).core.busy_time().ps(), 932936275);
   EXPECT_EQ(tb.node(1).core.busy_time().ps(), 931600139);
@@ -186,7 +186,7 @@ TEST(DeterminismGolden, MpiWaitallWindowsOnThunderx2Cx4) {
                                .warmup_windows = 2,
                                .capture_trace = true});
   (void)b.run();
-  EXPECT_EQ(tb.sim().events_processed(), 25513u);
+  EXPECT_EQ(tb.sim().events_processed(), 25509u);
   EXPECT_EQ(tb.sim().now().ps(), 370930172);
   EXPECT_EQ(tb.node(0).core.busy_time().ps(), 370930172);
   EXPECT_EQ(tb.node(1).core.busy_time().ps(), 0);
@@ -236,7 +236,7 @@ TEST(DeterminismGolden, LossyCollWaitTimeoutOnThunderx2Cx4) {
   EXPECT_GT(cl.net_stats().packets_dropped, 0u);
   EXPECT_EQ(at0.ps(), 403692999);
   EXPECT_EQ(at1.ps(), 404443679);
-  EXPECT_EQ(cl.sim().events_processed(), 26593u);
+  EXPECT_EQ(cl.sim().events_processed(), 26589u);
   EXPECT_EQ(cl.sim().now().ps(), 404443679);
   EXPECT_EQ(cl.node(0).core.busy_time().ps(), 403692999);
   EXPECT_EQ(cl.node(1).core.busy_time().ps(), 404443679);

@@ -28,7 +28,7 @@ TEST(DebugTu, PutShortLoopMatchesTheLibraries) {
     while (e.outstanding() > 0) co_await n.worker.progress();
   }(tb.node(0), ep));
   tb.sim().run();
-  EXPECT_EQ(tb.sim().events_processed(), 4865u);
+  EXPECT_EQ(tb.sim().events_processed(), 4861u);
   EXPECT_EQ(tb.sim().now().ps(), 47932000);
 }
 

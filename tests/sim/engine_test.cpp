@@ -10,11 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <vector>
 
 #include "alloc_counter.hpp"
-#include "sim/channel.hpp"
 #include "sim/pool.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
@@ -42,40 +40,6 @@ TEST(EngineAlloc, SteadyStateDispatchIsHeapAllocationFree) {
   EXPECT_EQ(sim.event_pool_chunks(), chunks) << "node pool kept growing";
 }
 
-TEST(EngineAlloc, ChannelPingPongSteadyStateIsHeapAllocationFree) {
-  Simulator sim;
-  Channel<int> a(sim), b(sim);
-  auto pinger = [](Channel<int>& rx, Channel<int>& tx,
-                   int iters) -> Task<void> {
-    for (int i = 0; i < iters; ++i) {
-      tx.send(i);
-      (void)co_await rx.receive();
-    }
-  };
-  auto ponger = [](Channel<int>& rx, Channel<int>& tx,
-                   int iters) -> Task<void> {
-    for (int i = 0; i < iters; ++i) {
-      const int v = co_await rx.receive();
-      tx.send(v);
-    }
-  };
-  // Warm-up pair grows the waiter queues, ready ring, and frame pool.
-  sim.spawn(pinger(a, b, 64));
-  sim.spawn(ponger(b, a, 64));
-  sim.run();
-  const std::uint64_t allocs = support::heap_allocs();
-  // Steady state: only the two spawn bookkeeping entries may allocate
-  // (roots vector + name), so measure from after the spawns.
-  sim.spawn(pinger(a, b, 4096));
-  sim.spawn(ponger(b, a, 4096));
-  const std::uint64_t after_spawn = support::heap_allocs();
-  sim.run();
-  EXPECT_EQ(support::heap_allocs(), after_spawn)
-      << "channel send/receive hot path allocated";
-  // And the spawns themselves must not have paid for fresh frames.
-  EXPECT_LE(after_spawn - allocs, 4u);
-}
-
 TEST(EngineAlloc, CoroutineFramesAreRecycledAcrossSimulators) {
   const auto run_one = [] {
     Simulator sim;
@@ -91,18 +55,6 @@ TEST(EngineAlloc, CoroutineFramesAreRecycledAcrossSimulators) {
   EXPECT_GT(after.reused, before.reused);
   EXPECT_EQ(after.fresh, before.fresh)
       << "identical frame size should come from the pool";
-}
-
-TEST(EngineNodes, OversizedCallablesAreBoxedAndCounted) {
-  Simulator sim;
-  std::array<char, 256> big{};
-  big[0] = 7;
-  char seen = 0;
-  const std::uint64_t before = detail::EventNode::boxed_events();
-  sim.call_at(TimePs(1), [big, &seen] { seen = big[0]; });
-  sim.run();
-  EXPECT_EQ(seen, 7);
-  EXPECT_EQ(detail::EventNode::boxed_events(), before + 1);
 }
 
 TEST(EngineLimit, RunawayCoroutineIsCaught) {

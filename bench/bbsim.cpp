@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
   if (cmd != "coll") return usage(argv0);
 
   // The UCP header stamps the source rank in 6 bits (hlp::UcpWorker),
-  // bounding a demultiplexed job at 63 ranks.
+  // bounding a routed job at 63 ranks.
   const auto ranks_arg = positional(pos, 3, "ranks", 2, 63, 8);
   const auto bytes_arg = positional(pos, 4, "bytes", 8, UINT32_MAX, 1024);
   if (!ranks_arg || !bytes_arg) return 2;
@@ -347,8 +347,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "coll needs bytes a multiple of 8\n");
     return 2;
   }
-  const double sim_ns = bbench::simulate_coll(
-      cfg, ranks, *kind, {.iterations = 40, .warmup = 10, .bytes = bytes});
+  double sim_ns = 0.0;
+  try {
+    sim_ns = bbench::simulate_coll(
+        cfg, ranks, *kind, {.iterations = 40, .warmup = 10, .bytes = bytes});
+  } catch (const bench::EpochOverrunError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   const double model_ns =
       bbench::model_coll(model::CollModel(cfg), *kind, ranks, bytes);
   std::printf("%s on %s: %d ranks, %u bytes\n", which.c_str(),

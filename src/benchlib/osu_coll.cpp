@@ -24,8 +24,10 @@ sim::Task<void> OsuColl::rank_loop(int r) {
     // receive-only collectives like bcast.
     const double target = static_cast<double>(it + 1) * cfg_.epoch_ns;
     const double now = core.virtual_now().to_ns();
-    BB_ASSERT_MSG(now < target,
-                  "OsuCollConfig::epoch_ns too small for this collective");
+    if (now >= target) {
+      throw EpochOverrunError(
+          "OsuCollConfig::epoch_ns too small for this collective");
+    }
     co_await world_.cluster().sim().delay(TimePs::from_ns(target - now));
     const double t0 = core.virtual_now().to_ns();
     switch (kind_) {

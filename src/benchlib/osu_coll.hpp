@@ -10,6 +10,7 @@
 // feed the model-vs-simulated comparison in bench_coll_osu.
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "benchlib/bench_types.hpp"
@@ -29,8 +30,15 @@ struct OsuCollConfig {
   /// the common absolute tick (iteration+1)*epoch_ns, so all ranks enter
   /// the timed collective at the same instant (a simulator privilege a
   /// real OSU run does not have). Must exceed barrier + collective time
-  /// for one iteration; asserted at runtime.
+  /// for one iteration; a run where it does not throws EpochOverrunError.
   double epoch_ns = 1.0e6;
+};
+
+/// Thrown out of OsuColl::run when a rank reaches an iteration's epoch
+/// tick late: OsuCollConfig::epoch_ns is too small for the collective.
+class EpochOverrunError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 /// Result of a collective latency run.

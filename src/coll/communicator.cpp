@@ -1,6 +1,7 @@
 #include "coll/communicator.hpp"
 
 #include "common/assert.hpp"
+#include "scenario/mpi_stack.hpp"
 
 namespace bb::coll {
 
@@ -17,13 +18,13 @@ Communicator::Communicator(World& world, scenario::Testbed& tb, int rank)
       node_(tb.node(rank)),
       rank_(rank),
       size_(tb.node_count()),
-      mux_(node_.worker) {
-  stacks_.resize(static_cast<std::size_t>(size_));
+      ucp_(node_.worker, tb.config().ucp, rank),
+      mpi_(ucp_) {
   for (int peer = 0; peer < size_; ++peer) {
     if (peer == rank_) continue;
-    scenario::MpiStack& s =
-        stacks_[static_cast<std::size_t>(peer)].emplace(tb, rank_, peer);
-    mux_.attach(peer, &s.ucp());
+    ucp_.connect(
+        tb.add_endpoint(rank_, peer, scenario::MpiStack::endpoint_config(tb)),
+        peer);
   }
 }
 
@@ -35,83 +36,31 @@ sim::Task<hlp::Request*> Communicator::isend(int peer, std::uint32_t bytes,
                                              std::vector<double> data) {
   BB_ASSERT(peer >= 0 && peer < size_ && peer != rank_);
   world_.deliver(rank_, peer, std::move(data));
-  ++isends_;
-  common::Expected<hlp::Request*> r =
-      co_await stack(peer).mpi().isend(bytes);
+  common::Expected<hlp::Request*> r = co_await mpi_.isend(bytes, peer);
   co_return r.value();
 }
 
 hlp::Request* Communicator::irecv(int peer, std::uint32_t bytes) {
-  return stack(peer).mpi().irecv(bytes).value();
+  return mpi_.irecv(bytes, peer).value();
 }
 
 std::vector<double> Communicator::take_data(int peer) {
   return world_.take(rank_, peer);
 }
 
-sim::Task<std::uint32_t> Communicator::progress() {
-  // One UCP pass for the whole communicator: drive every peer's queued
-  // work (busy-post retries, rendezvous control/data), then one shared
-  // uct_worker_progress whose completions the mux fans back out, then
-  // the state machines those completions unblocked.
-  cpu::Core& c = core();
-  c.consume(c.costs().ucp_progress_iter);
-  for (auto& s : stacks_) {
-    if (s && s->ucp().has_pending_work()) co_await s->ucp().progress_pending();
-  }
-  const std::uint32_t n = co_await node_.worker.progress();
-  for (auto& s : stacks_) {
-    if (s && s->ucp().has_pending_work()) co_await s->ucp().progress_pending();
-  }
-  co_return n;
-}
-
-TimePs Communicator::watchdog_deadline() {
+TimePs Communicator::watchdog_timeout() const {
   const double timeout_us = tuning().wait_timeout_us;
   if (timeout_us <= 0.0) return TimePs::max();
-  return core().virtual_now() + TimePs::from_ns(timeout_us * 1000.0);
-}
-
-bool Communicator::has_pending_work() const {
-  for (const auto& s : stacks_) {
-    if (s && s->ucp().has_pending_work()) return true;
-  }
-  return false;
+  return TimePs::from_ns(timeout_us * 1000.0);
 }
 
 sim::Task<common::Status> Communicator::wait(hlp::Request* req) {
-  cpu::Core& c = core();
-  // Same cost structure as the pt2pt MpiComm::wait; the progress engine
-  // spans all peers.
-  c.consume(c.costs().mpich_wait_fixed);
-  const bool done = co_await hlp::progress_until(
-      *this, [req] { return req->complete; }, watchdog_deadline());
-  if (!done) {
-    // Watchdog: diagnosable abort instead of a hang (the request stays
-    // incomplete; the transport underneath it is stuck or flushed).
-    co_await c.flush();
-    co_return common::Status::kTimedOut;
-  }
-  c.consume(c.costs().mpich_after_progress);
-  ++waits_;
-  co_await c.flush();
-  co_return req->status;
+  return mpi_.wait(req, watchdog_timeout());
 }
 
 sim::Task<common::Status> Communicator::waitall(
     const std::vector<hlp::Request*>& reqs) {
-  cpu::Core& c = core();
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    c.consume(c.costs().hlp_tx_prog);
-  }
-  const bool done = co_await hlp::progress_until(
-      *this, [&reqs] { return hlp::all_complete(reqs); }, watchdog_deadline());
-  if (!done) {
-    co_await c.flush();
-    co_return common::Status::kTimedOut;
-  }
-  co_await c.flush();
-  co_return hlp::first_error(reqs);
+  return mpi_.waitall(reqs, watchdog_timeout());
 }
 
 World::World(scenario::Testbed& tb) : tb_(tb) {

@@ -2,14 +2,13 @@
 // The multi-peer communicator bb::coll schedules run over.
 //
 // The machine gives every rank one node (core, host memory, PCIe, NIC) and
-// one LLP worker; the pt2pt stack above it (UcpWorker -> MpiComm) models
-// protocol state toward exactly one peer. A Communicator therefore owns
-// one scenario::MpiStack per remote rank, all demultiplexed over the
-// node's single RX CQ by an hlp::RxMux keyed on the source rank stamped
-// into message headers, and provides the MPI-style progress engine that
-// drives *all* of the rank's peers while blocked -- without it, a
-// rendezvous CTS arriving for peer A while the rank waits on peer B
-// would never be answered (classic multi-endpoint progress).
+// one LLP worker. A Communicator is that rank's MPI process: one
+// hlp::UcpWorker with one endpoint (a fresh QP) per remote rank, and one
+// hlp::MpiComm above it. The worker stamps the rank into every message
+// header and routes the node's single RX CQ to endpoints by the stamped
+// source, and its progress pass drives *all* of the rank's peers while
+// blocked -- a rendezvous CTS arriving for peer A while the rank waits on
+// peer B is still answered (classic multi-endpoint progress).
 //
 // Message payload *contents* ride out of band through World's per-pair
 // FIFO mailboxes (the simulator's wire carries byte counts only); since
@@ -20,12 +19,10 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "common/assert.hpp"
-#include "hlp/mux.hpp"
-#include "scenario/mpi_stack.hpp"
+#include "hlp/mpi.hpp"
+#include "hlp/ucp.hpp"
 #include "scenario/testbed.hpp"
 
 namespace bb::coll {
@@ -50,45 +47,32 @@ class Communicator {
   /// from `peer` (FIFO per pair; call after the matching wait returned).
   std::vector<double> take_data(int peer);
 
-  /// Blocking MPI_Wait: the multi-peer progress engine (all peers'
-  /// pending work + one shared uct_worker_progress per pass).
+  /// Blocking MPI_Wait; gives up with kTimedOut after the tuning's
+  /// wait_timeout_us.
   sim::Task<common::Status> wait(hlp::Request* req);
-  /// MPI_Waitall over a window.
+  /// MPI_Waitall over a window, under the same watchdog.
   sim::Task<common::Status> waitall(const std::vector<hlp::Request*>& reqs);
 
-  /// One progress pass over every peer stack.
-  sim::Task<std::uint32_t> progress();
-  /// Whether any peer stack has queued work (busy-post retries,
-  /// rendezvous control or data) for the next progress pass.
-  bool has_pending_work() const;
-  /// The node's LLP worker, shared by every peer stack.
-  llp::Worker& uct_worker() { return node_.worker; }
-  /// The pt2pt stack toward `peer`.
-  scenario::MpiStack& stack(int peer) {
-    BB_ASSERT(peer >= 0 && peer < size_ && peer != rank_);
-    return *stacks_[static_cast<std::size_t>(peer)];
-  }
+  /// The rank's UCP worker (endpoint(peer) is its QP toward `peer`).
+  hlp::UcpWorker& ucp() { return ucp_; }
 
-  std::uint64_t isends() const { return isends_; }
-  std::uint64_t waits() const { return waits_; }
+  std::uint64_t isends() const { return mpi_.isends(); }
+  std::uint64_t waits() const { return mpi_.waits(); }
 
  private:
   friend class World;
   Communicator(World& world, scenario::Testbed& tb, int rank);
 
-  /// Core time past which a blocking wait gives up (wait_timeout_us from
-  /// now; never when the watchdog is off).
-  TimePs watchdog_deadline();
+  /// Core time after which a blocking wait gives up (wait_timeout_us;
+  /// never when the watchdog is off).
+  TimePs watchdog_timeout() const;
 
   World& world_;
   scenario::Testbed::Node& node_;
   int rank_;
   int size_;
-  hlp::RxMux mux_;
-  // Indexed by peer rank; the self slot stays empty.
-  std::vector<std::optional<scenario::MpiStack>> stacks_;
-  std::uint64_t isends_ = 0;
-  std::uint64_t waits_ = 0;
+  hlp::UcpWorker ucp_;
+  hlp::MpiComm mpi_;
 };
 
 /// All ranks of one job: builds a Communicator per machine node and the

@@ -10,6 +10,10 @@
 // the fixed blocking-wait work and the post-progress epilogue inside
 // MPI_Wait; and the per-operation send-progress bookkeeping inside
 // MPI_Waitall (Post_prog, §6).
+//
+// One MpiComm per process, over its one UcpWorker: the same waits serve
+// a two-node stack (kOnlyPeer) and a multi-peer coll::Communicator, whose
+// watchdog passes a timeout.
 
 #include <vector>
 
@@ -18,29 +22,6 @@
 
 namespace bb::hlp {
 
-/// The blocking progress loop under every MPI-style wait: passes over
-/// `engine` (one UcpWorker, or a multi-peer coll::Communicator) until
-/// `done()`. Each pass checks the watchdog, then either runs the passes
-/// that can only poll as a parked waiter (llp::Worker::idle) when the engine
-/// has no queued work, or one real progress pass. Returns false once core
-/// time passes `deadline` with `done()` still false. Callers charge their
-/// own entry and exit costs around it.
-template <typename Engine, typename Done>
-sim::Task<bool> progress_until(Engine& engine, Done done,
-                               TimePs deadline = TimePs::max()) {
-  cpu::Core& c = engine.core();
-  while (!done()) {
-    if (c.virtual_now() > deadline) co_return false;
-    if (!engine.has_pending_work() &&
-        co_await engine.uct_worker().idle(&c.costs().ucp_progress_iter,
-                                          deadline) > 0) {
-      continue;
-    }
-    co_await engine.progress();
-  }
-  co_return true;
-}
-
 class MpiComm {
  public:
   explicit MpiComm(UcpWorker& ucp);
@@ -48,17 +29,23 @@ class MpiComm {
   UcpWorker& ucp() { return ucp_; }
   cpu::Core& core() { return ucp_.core(); }
 
-  /// MPI_Isend of `bytes` to the peer.
-  sim::Task<common::Expected<Request*>> isend(std::uint32_t bytes);
-  /// MPI_Irecv of `bytes` from the peer.
-  common::Expected<Request*> irecv(std::uint32_t bytes);
+  /// MPI_Isend of `bytes` to `peer`.
+  sim::Task<common::Expected<Request*>> isend(std::uint32_t bytes,
+                                              int peer = kOnlyPeer);
+  /// MPI_Irecv of `bytes` from `peer`.
+  common::Expected<Request*> irecv(std::uint32_t bytes, int peer = kOnlyPeer);
   /// Blocking MPI_Wait for one request; returns the request's final
-  /// disposition (kIoError when it was retired by an error completion).
-  sim::Task<common::Status> wait(Request* req);
+  /// disposition (kIoError when it was retired by an error completion),
+  /// or kTimedOut, with the request still incomplete, once `timeout` of
+  /// core time has passed since the wait's entry work.
+  sim::Task<common::Status> wait(Request* req,
+                                 TimePs timeout = TimePs::max());
   /// MPI_Waitall over a window of requests; returns kOk or the first
-  /// non-OK request status in window order.
-  sim::Task<common::Status> waitall(const std::vector<Request*>& reqs);
+  /// non-OK request status in window order, or kTimedOut as wait() does.
+  sim::Task<common::Status> waitall(const std::vector<Request*>& reqs,
+                                    TimePs timeout = TimePs::max());
 
+  /// Sends initiated, and single-request waits that completed.
   std::uint64_t isends() const { return isends_; }
   std::uint64_t waits() const { return waits_; }
 

@@ -4,14 +4,27 @@
 
 namespace bb::hlp {
 
-UcpWorker::UcpWorker(llp::Worker& uct_worker, llp::Endpoint& endpoint,
-                     UcpConfig cfg, int src_rank)
-    : uct_worker_(uct_worker),
-      endpoint_(endpoint),
-      cfg_(cfg),
-      src_rank_(src_rank) {
+UcpWorker::UcpWorker(llp::Worker& uct_worker, UcpConfig cfg, int rank)
+    : uct_worker_(uct_worker), cfg_(cfg), rank_(rank) {
   uct_worker_.set_rx_handler(
       [this](const nic::Cqe& cqe) { on_rx_completion(cqe); });
+}
+
+void UcpWorker::connect(llp::Endpoint& uct_ep, int peer) {
+  BB_ASSERT_MSG(rank_ < 0 ? peer == kOnlyPeer : peer >= 0 && peer != rank_,
+                "a ranked worker connects to other ranks, an unranked one "
+                "to kOnlyPeer");
+  const auto slot = static_cast<std::size_t>(peer + 1);
+  if (by_src_.size() <= slot) by_src_.resize(slot + 1, nullptr);
+  BB_ASSERT_MSG(by_src_[slot] == nullptr, "peer already connected");
+  by_src_[slot] = &eps_.emplace_back(uct_ep);
+}
+
+UcpWorker::Ep& UcpWorker::ep(int peer) {
+  const auto slot = static_cast<std::size_t>(peer + 1);
+  BB_ASSERT_MSG(slot < by_src_.size() && by_src_[slot] != nullptr,
+                "no endpoint to this peer");
+  return *by_src_[slot];
 }
 
 Request* UcpWorker::new_request(Request::Kind kind, std::uint32_t bytes) {
@@ -24,12 +37,12 @@ Request* UcpWorker::new_request(Request::Kind kind, std::uint32_t bytes) {
   return p;
 }
 
-sim::Task<common::Status> UcpWorker::try_post(Request* req) {
-  // Tagged (multi-peer) mode stamps the source rank so the receiver's
-  // RxMux can route; untagged eager messages keep the legacy user_data 0.
+sim::Task<common::Status> UcpWorker::try_post(Ep& e, Request* req) {
+  // A ranked worker stamps its source rank so the receiver can route;
+  // untagged eager messages keep user_data 0.
   const std::uint64_t ud =
-      src_rank_ < 0 ? 0 : header(Ctrl::kEager, 0, req->bytes);
-  const llp::Status st = co_await endpoint_.am_short(req->bytes, ud);
+      rank_ < 0 ? 0 : header(Ctrl::kEager, 0, req->bytes);
+  const llp::Status st = co_await e.uct.am_short(req->bytes, ud);
   if (st == llp::Status::kOk) {
     // Inlined short send: locally complete once the payload left the CPU.
     req->pending = false;
@@ -40,26 +53,27 @@ sim::Task<common::Status> UcpWorker::try_post(Request* req) {
 }
 
 sim::Task<common::Expected<Request*>> UcpWorker::tag_send_nb(
-    std::uint32_t bytes) {
+    std::uint32_t bytes, int peer) {
   cpu::Core& c = core();
   c.consume(c.costs().ucp_isend);
+  Ep& e = ep(peer);
   Request* req = new_request(Request::Kind::kSend, bytes);
 
   if (bytes >= cfg_.rndv_threshold) {
     // Rendezvous: advertise with an RTS; the payload moves after the CTS.
     ++rndv_sends_;
-    const std::uint64_t seq = next_rndv_seq_++;
-    rndv_tx_waiting_[seq] = req;
-    pending_ctrl_.push_back(header(Ctrl::kRts, seq, bytes));
-    co_await progress_rndv();
+    const std::uint64_t seq = e.next_rndv_seq++;
+    e.rndv_tx_waiting[seq] = req;
+    e.pending_ctrl.push_back(header(Ctrl::kRts, seq, bytes));
+    co_await progress_rndv(e);
     co_return req;
   }
 
-  if (!pending_sends_.empty() ||
-      co_await try_post(req) != common::Status::kOk) {
+  if (!e.pending_sends.empty() ||
+      co_await try_post(e, req) != common::Status::kOk) {
     // Preserve ordering: once anything pends, later sends pend too.
     req->pending = true;
-    pending_sends_.push_back(req);
+    e.pending_sends.push_back(req);
   }
   co_return req;
 }
@@ -81,68 +95,71 @@ void UcpWorker::complete_recv(Request* req, common::Status st) {
   if (upper_rx_cb_) upper_rx_cb_(req);
 }
 
-common::Expected<Request*> UcpWorker::tag_recv_nb(std::uint32_t bytes) {
+common::Expected<Request*> UcpWorker::tag_recv_nb(std::uint32_t bytes,
+                                                  int peer) {
+  Ep& e = ep(peer);
   Request* req = new_request(Request::Kind::kRecv, bytes);
-  if (!unexpected_.empty()) {
+  if (!e.unexpected.empty()) {
     // Unexpected eager message: the payload already landed.
-    const common::Status st = unexpected_.front().status;
-    unexpected_.pop_front();
+    const common::Status st = e.unexpected.front().status;
+    e.unexpected.pop_front();
     complete_recv(req, st);
     return req;
   }
-  if (!unexpected_rts_.empty()) {
+  if (!e.unexpected_rts.empty()) {
     // Unexpected rendezvous advertisement: answer it now.
-    const std::uint64_t h = unexpected_rts_.front();
-    unexpected_rts_.pop_front();
-    rndv_rx_waiting_[seq_of(h)] = req;
-    pending_ctrl_.push_back(header(Ctrl::kCts, seq_of(h), 0));
+    const std::uint64_t h = e.unexpected_rts.front();
+    e.unexpected_rts.pop_front();
+    e.rndv_rx_waiting[seq_of(h)] = req;
+    e.pending_ctrl.push_back(header(Ctrl::kCts, seq_of(h), 0));
     return req;
   }
-  posted_recvs_.push_back(req);
+  e.posted_recvs.push_back(req);
   return req;
 }
 
 void UcpWorker::on_rx_completion(const nic::Cqe& cqe) {
+  Ep& e = ep(src_rank_of(cqe.user_data));
   switch (ctrl_of(cqe.user_data)) {
     case Ctrl::kEager: {
-      if (posted_recvs_.empty()) {
-        unexpected_.push_back(cqe);
+      if (e.posted_recvs.empty()) {
+        e.unexpected.push_back(cqe);
         return;
       }
-      Request* req = posted_recvs_.front();
-      posted_recvs_.pop_front();
+      Request* req = e.posted_recvs.front();
+      e.posted_recvs.pop_front();
       complete_recv(req, cqe.status);
       return;
     }
     case Ctrl::kRts: {
       // Sender advertised a large message.
       core().consume(core().costs().ucp_progress_iter);  // header decode
-      if (posted_recvs_.empty()) {
-        unexpected_rts_.push_back(cqe.user_data);
+      if (e.posted_recvs.empty()) {
+        e.unexpected_rts.push_back(cqe.user_data);
         return;
       }
-      Request* req = posted_recvs_.front();
-      posted_recvs_.pop_front();
-      rndv_rx_waiting_[seq_of(cqe.user_data)] = req;
-      pending_ctrl_.push_back(header(Ctrl::kCts, seq_of(cqe.user_data), 0));
+      Request* req = e.posted_recvs.front();
+      e.posted_recvs.pop_front();
+      e.rndv_rx_waiting[seq_of(cqe.user_data)] = req;
+      e.pending_ctrl.push_back(header(Ctrl::kCts, seq_of(cqe.user_data), 0));
       return;
     }
     case Ctrl::kCts: {
       // Receiver is ready: schedule the data put + FIN.
       core().consume(core().costs().ucp_progress_iter);
-      auto it = rndv_tx_waiting_.find(seq_of(cqe.user_data));
-      BB_ASSERT_MSG(it != rndv_tx_waiting_.end(), "CTS for unknown rndv op");
-      rndv_tx_ready_.push_back(
+      auto it = e.rndv_tx_waiting.find(seq_of(cqe.user_data));
+      BB_ASSERT_MSG(it != e.rndv_tx_waiting.end(), "CTS for unknown rndv op");
+      e.rndv_tx_ready.push_back(
           RndvData{it->first, it->second->bytes, it->second, false});
-      rndv_tx_waiting_.erase(it);
+      e.rndv_tx_waiting.erase(it);
       return;
     }
     case Ctrl::kFin: {
       // Data landed in our buffer; complete the receive.
-      auto it = rndv_rx_waiting_.find(seq_of(cqe.user_data));
-      BB_ASSERT_MSG(it != rndv_rx_waiting_.end(), "FIN for unknown rndv op");
+      auto it = e.rndv_rx_waiting.find(seq_of(cqe.user_data));
+      BB_ASSERT_MSG(it != e.rndv_rx_waiting.end(), "FIN for unknown rndv op");
       Request* req = it->second;
-      rndv_rx_waiting_.erase(it);
+      e.rndv_rx_waiting.erase(it);
       complete_recv(req, cqe.status);
       return;
     }
@@ -150,45 +167,50 @@ void UcpWorker::on_rx_completion(const nic::Cqe& cqe) {
   BB_UNREACHABLE("bad control header");
 }
 
-sim::Task<void> UcpWorker::progress_rndv() {
+sim::Task<void> UcpWorker::progress_rndv(Ep& e) {
   // Control messages first (RTS/CTS/FIN are small sends).
-  while (!pending_ctrl_.empty()) {
-    const std::uint64_t h = pending_ctrl_.front();
-    if (co_await endpoint_.am_short(8, h) != llp::Status::kOk) {
+  while (!e.pending_ctrl.empty()) {
+    const std::uint64_t h = e.pending_ctrl.front();
+    if (co_await e.uct.am_short(8, h) != llp::Status::kOk) {
       co_return;  // TxQ full: retried on the next pass
     }
-    pending_ctrl_.pop_front();
+    e.pending_ctrl.pop_front();
   }
   // Rendezvous payload transfers: a one-sided put, then the FIN. The
   // fabric delivers in order per sender, so the FIN arrives after the
   // payload is on its way to the receiver's memory.
-  while (!rndv_tx_ready_.empty()) {
-    RndvData& op = rndv_tx_ready_.front();
+  while (!e.rndv_tx_ready.empty()) {
+    RndvData& op = e.rndv_tx_ready.front();
     if (!op.data_sent) {
-      if (co_await endpoint_.put_short(op.bytes) != llp::Status::kOk) {
+      if (co_await e.uct.put_short(op.bytes) != llp::Status::kOk) {
         co_return;
       }
       op.data_sent = true;
     }
-    if (co_await endpoint_.am_short(8, header(Ctrl::kFin, op.seq, 0)) !=
+    if (co_await e.uct.am_short(8, header(Ctrl::kFin, op.seq, 0)) !=
         llp::Status::kOk) {
       co_return;
     }
     op.req->complete = true;
     ++sends_completed_;
-    rndv_tx_ready_.pop_front();
+    e.rndv_tx_ready.pop_front();
   }
 }
 
-sim::Task<void> UcpWorker::progress_pending() {
-  while (!pending_sends_.empty()) {
-    Request* req = pending_sends_.front();
-    if (co_await try_post(req) != common::Status::kOk) break;
-    pending_sends_.pop_front();
+bool UcpWorker::has_pending_work() const {
+  for (const Ep& e : eps_) {
+    if (!e.pending_sends.empty() || !e.pending_ctrl.empty() ||
+        !e.rndv_tx_ready.empty()) {
+      return true;
+    }
   }
-  if (!pending_ctrl_.empty() || !rndv_tx_ready_.empty()) {
-    co_await progress_rndv();
-  }
+  return false;
+}
+
+std::size_t UcpWorker::pending_sends() const {
+  std::size_t n = 0;
+  for (const Ep& e : eps_) n += e.pending_sends.size();
+  return n;
 }
 
 sim::Task<std::uint32_t> UcpWorker::progress() {
@@ -200,17 +222,23 @@ sim::Task<std::uint32_t> UcpWorker::progress() {
   c.consume(c.costs().ucp_progress_iter);
 
   // Retry pending sends (busy posts rescheduled by UCP, §6).
-  while (!pending_sends_.empty()) {
-    Request* req = pending_sends_.front();
-    if (co_await try_post(req) != common::Status::kOk) break;
-    pending_sends_.pop_front();
+  for (Ep& e : eps_) {
+    while (!e.pending_sends.empty()) {
+      if (co_await try_post(e, e.pending_sends.front()) !=
+          common::Status::kOk) {
+        break;
+      }
+      e.pending_sends.pop_front();
+    }
   }
 
   const std::uint32_t n = co_await uct_worker_.progress();
 
   // Drive rendezvous state machines unblocked by the completions above.
-  if (!pending_ctrl_.empty() || !rndv_tx_ready_.empty()) {
-    co_await progress_rndv();
+  for (Ep& e : eps_) {
+    if (!e.pending_ctrl.empty() || !e.rndv_tx_ready.empty()) {
+      co_await progress_rndv(e);
+    }
   }
 
   if (prof) prof->end(r);

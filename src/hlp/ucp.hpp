@@ -2,6 +2,12 @@
 // The UCP-like protocol layer (§5): tag send/receive over UCT, pending-
 // operation rescheduling, and the registered-callback chain.
 //
+// One UcpWorker per process, as in UCP: it owns the requests, counters
+// and callback chain, and one endpoint (a ucp_ep) per peer holds that
+// pair's matching and rendezvous state. RX completions are routed by the
+// source rank stamped in the header, and one progress() pass drives every
+// endpoint, so a rank blocked on one peer still answers another's RTS.
+//
 // Semantics follow UCX for the small-message regime the paper studies:
 //  * An inlined short tag-send completes locally as soon as the LLP post
 //    succeeds (the payload left the CPU). Its TxQ slot is recycled later
@@ -18,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "common/status.hpp"
 #include "cpu/core.hpp"
@@ -27,6 +34,10 @@
 #include "sim/task.hpp"
 
 namespace bb::hlp {
+
+/// The peer of a worker's one untagged endpoint (a two-node stack): its
+/// messages carry no source rank.
+inline constexpr int kOnlyPeer = -1;
 
 /// The UCP settings of an MPI stack (scenario::SystemConfig::ucp holds
 /// the machine's; scenario::MpiStack applies them).
@@ -44,16 +55,23 @@ struct UcpConfig {
 
 class UcpWorker {
  public:
-  /// `src_rank` is stamped into every outgoing message header so a
-  /// receiving node with several peers can demultiplex (RxMux). -1 keeps
-  /// the legacy two-node wire format: eager messages carry user_data 0.
-  UcpWorker(llp::Worker& uct_worker, llp::Endpoint& endpoint,
-            UcpConfig cfg, int src_rank);
+  /// `rank` is stamped into every outgoing message header so a receiver
+  /// with several peers can route by source. -1 (no rank) keeps the
+  /// two-node wire format: eager messages carry user_data 0.
+  UcpWorker(llp::Worker& uct_worker, UcpConfig cfg, int rank = -1);
+  UcpWorker(const UcpWorker&) = delete;
+  UcpWorker& operator=(const UcpWorker&) = delete;
+
+  /// ucp_ep_create: connects `uct_ep` to `peer`, whose messages (stamped
+  /// with that source rank) this endpoint receives. A worker without a
+  /// rank has exactly one endpoint, to kOnlyPeer.
+  void connect(llp::Endpoint& uct_ep, int peer = kOnlyPeer);
 
   cpu::Core& core() { return uct_worker_.core(); }
-  llp::Endpoint& endpoint() { return endpoint_; }
   llp::Worker& uct_worker() { return uct_worker_; }
   prof::Profiler* profiler() { return uct_worker_.profiler(); }
+  /// The UCT endpoint toward `peer`.
+  llp::Endpoint& endpoint(int peer = kOnlyPeer) { return ep(peer).uct; }
 
   /// Registered upper-layer callback for completed receives (MPICH's).
   /// Runs after the UCP callback, inside progress.
@@ -61,43 +79,33 @@ class UcpWorker {
     upper_rx_cb_ = std::move(cb);
   }
 
-  /// ucp_tag_send_nb: consumes the UCP initiation cost, then executes the
-  /// LLP post (or pends the request on a busy post). Returns the tracking
-  /// request; initiation itself cannot fail (busy posts pend), so the
-  /// Expected is the unified convention, not a present error path.
-  sim::Task<common::Expected<Request*>> tag_send_nb(std::uint32_t bytes);
+  /// ucp_tag_send_nb to `peer`: consumes the UCP initiation cost, then
+  /// executes the LLP post (or pends the request on a busy post). Returns
+  /// the tracking request; initiation itself cannot fail (busy posts
+  /// pend), so the Expected is the unified convention, not a present
+  /// error path.
+  sim::Task<common::Expected<Request*>> tag_send_nb(std::uint32_t bytes,
+                                                    int peer = kOnlyPeer);
 
-  /// ucp_tag_recv_nb: posts a receive into the matching engine. Costless
-  /// relative to the paper's model (receive initiation is assumed to
-  /// overlap, §6); matching costs are charged at completion time.
-  common::Expected<Request*> tag_recv_nb(std::uint32_t bytes);
+  /// ucp_tag_recv_nb from `peer`: posts a receive into that endpoint's
+  /// matching engine. Costless relative to the paper's model (receive
+  /// initiation is assumed to overlap, §6); matching costs are charged at
+  /// completion time.
+  common::Expected<Request*> tag_recv_nb(std::uint32_t bytes,
+                                         int peer = kOnlyPeer);
 
-  /// ucp_worker_progress: one pass. Retries pending sends, then drives
-  /// uct_worker_progress; completion callbacks run inside. Returns the
+  /// ucp_worker_progress: one pass. Retries every endpoint's pending
+  /// sends, drives uct_worker_progress (completion callbacks run inside),
+  /// then every endpoint's rendezvous control and data. Returns the
   /// number of UCT completions processed.
   sim::Task<std::uint32_t> progress();
 
-  /// Drives this worker's queued work (busy-post retries, rendezvous
-  /// control and data) WITHOUT a UCT pass and without charging the
-  /// per-pass UCP cost -- the building block a multi-endpoint progress
-  /// engine (coll::Communicator) composes around one shared
-  /// uct_worker_progress per pass.
-  sim::Task<void> progress_pending();
-  /// Work progress_pending() would drive.
-  bool has_pending_work() const {
-    return !pending_sends_.empty() || !pending_ctrl_.empty() ||
-           !rndv_tx_ready_.empty();
-  }
+  /// Whether the next progress() pass has work beyond polling: a pending
+  /// send, a queued control message or a rendezvous transfer.
+  bool has_pending_work() const;
 
-  /// RxMux entry point: an RX completion routed to this worker.
-  void deliver(const nic::Cqe& cqe) { on_rx_completion(cqe); }
-  /// Source rank carried in a message header (-1 for untagged legacy
-  /// traffic).
-  static int src_rank_of(std::uint64_t user_data) {
-    return static_cast<int>((user_data >> 56) & 0x3Full) - 1;
-  }
-
-  std::size_t pending_sends() const { return pending_sends_.size(); }
+  /// Sends waiting for a free TxQ slot, over all endpoints.
+  std::size_t pending_sends() const;
   std::uint64_t sends_completed() const { return sends_completed_; }
   std::uint64_t recvs_completed() const { return recvs_completed_; }
   std::uint64_t rndv_sends() const { return rndv_sends_; }
@@ -105,63 +113,70 @@ class UcpWorker {
  private:
   // Control headers ride in the messages' immediate data. Layout:
   // ctrl(2)@62 | src+1(6)@56 | seq(24)@32 | bytes(32)@0. The source
-  // field is 0 for untagged (two-node) traffic; tagged workers stamp
-  // rank+1, bounding a demultiplexed job at 63 ranks.
+  // field is 0 for untagged (two-node) traffic; a ranked worker stamps
+  // rank+1, bounding a routed job at 63 ranks.
   enum class Ctrl : std::uint64_t { kEager = 0, kRts = 1, kCts = 2, kFin = 3 };
   std::uint64_t header(Ctrl c, std::uint64_t seq, std::uint32_t bytes) const {
     const std::uint64_t src =
-        src_rank_ < 0 ? 0 : static_cast<std::uint64_t>(src_rank_) + 1;
+        rank_ < 0 ? 0 : static_cast<std::uint64_t>(rank_) + 1;
     return (static_cast<std::uint64_t>(c) << 62) | (src << 56) |
            ((seq & 0xFFFFFFull) << 32) | bytes;
   }
   static Ctrl ctrl_of(std::uint64_t h) { return static_cast<Ctrl>(h >> 62); }
+  static int src_rank_of(std::uint64_t h) {
+    return static_cast<int>((h >> 56) & 0x3Full) - 1;
+  }
   static std::uint64_t seq_of(std::uint64_t h) {
     return (h >> 32) & 0xFFFFFFull;
   }
-  static std::uint32_t bytes_of(std::uint64_t h) {
-    return static_cast<std::uint32_t>(h & 0xFFFFFFFFull);
-  }
 
-  void on_rx_completion(const nic::Cqe& cqe);
-  sim::Task<common::Status> try_post(Request* req);
-  /// Completes a receive through the registered callback chain,
-  /// propagating the transport status into the request.
-  void complete_recv(Request* req,
-                     common::Status st = common::Status::kOk);
-  /// Drives queued control messages and rendezvous data transfers.
-  sim::Task<void> progress_rndv();
-
-  llp::Worker& uct_worker_;
-  llp::Endpoint& endpoint_;
-  UcpConfig cfg_;
-  int src_rank_;
-  std::function<void(Request*)> upper_rx_cb_;
-
-  std::deque<std::unique_ptr<Request>> requests_;  // stable ownership
-  std::deque<Request*> pending_sends_;
-  std::deque<Request*> posted_recvs_;
-  std::deque<nic::Cqe> unexpected_;
-
-  // Rendezvous state.
-  std::deque<std::uint64_t> pending_ctrl_;            // headers to send
-  std::map<std::uint64_t, Request*> rndv_tx_waiting_; // RTS out, await CTS
   struct RndvData {
     std::uint64_t seq;
     std::uint32_t bytes;
     Request* req;
     bool data_sent = false;
   };
-  std::deque<RndvData> rndv_tx_ready_;                // CTS in: put + FIN
-  std::map<std::uint64_t, Request*> rndv_rx_waiting_; // CTS out, await FIN
-  std::deque<std::uint64_t> unexpected_rts_;          // RTS with no recv
+  /// The protocol state toward one peer (a ucp_ep).
+  struct Ep {
+    explicit Ep(llp::Endpoint& e) : uct(e) {}
+
+    llp::Endpoint& uct;
+    std::deque<Request*> pending_sends;
+    std::deque<Request*> posted_recvs;
+    std::deque<nic::Cqe> unexpected;
+    // Rendezvous state.
+    std::deque<std::uint64_t> pending_ctrl;            // headers to send
+    std::map<std::uint64_t, Request*> rndv_tx_waiting; // RTS out, await CTS
+    std::deque<RndvData> rndv_tx_ready;                // CTS in: put + FIN
+    std::map<std::uint64_t, Request*> rndv_rx_waiting; // CTS out, await FIN
+    std::deque<std::uint64_t> unexpected_rts;          // RTS with no recv
+    std::uint64_t next_rndv_seq = 1;
+  };
+
+  Ep& ep(int peer);
+  void on_rx_completion(const nic::Cqe& cqe);
+  sim::Task<common::Status> try_post(Ep& e, Request* req);
+  /// Completes a receive through the registered callback chain,
+  /// propagating the transport status into the request.
+  void complete_recv(Request* req,
+                     common::Status st = common::Status::kOk);
+  /// Drives `e`'s queued control messages and rendezvous data transfers.
+  sim::Task<void> progress_rndv(Ep& e);
+  Request* new_request(Request::Kind kind, std::uint32_t bytes);
+
+  llp::Worker& uct_worker_;
+  UcpConfig cfg_;
+  int rank_;
+  std::function<void(Request*)> upper_rx_cb_;
+
+  std::deque<Ep> eps_;            // connection order; stable addresses
+  std::vector<Ep*> by_src_;       // indexed by source rank + 1
+  std::deque<std::unique_ptr<Request>> requests_;  // stable ownership
 
   std::uint64_t next_seq_ = 1;
-  std::uint64_t next_rndv_seq_ = 1;
   std::uint64_t sends_completed_ = 0;
   std::uint64_t recvs_completed_ = 0;
   std::uint64_t rndv_sends_ = 0;
-
-  Request* new_request(Request::Kind kind, std::uint32_t bytes);
 };
 
 }  // namespace bb::hlp

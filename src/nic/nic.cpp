@@ -218,7 +218,7 @@ void Nic::inject(const pcie::WireMd& md) {
   const int dst = md.dst_node >= 0 ? md.dst_node : 1 - node_id_;
   f.peer = dst;
   const std::uint64_t psn = f.next_psn++;
-  f.unacked.push_back(TxEntry{psn, md});
+  f.unacked.push(TxEntry{psn, md});
   ++messages_injected_;
   fabric_.send(net::NetPacket::data(md, node_id_, dst, psn));
   arm_retry_timer(md.qp, f);
@@ -348,7 +348,7 @@ bool Nic::retire_acked(TxFlow& f, std::uint64_t end_psn) {
   bool progress = false;
   while (!f.unacked.empty() && f.unacked.front().psn < end_psn) {
     const pcie::WireMd md = f.unacked.front().md;
-    f.unacked.pop_front();
+    f.unacked.pop();
     progress = true;
     complete_message(md);
   }
@@ -414,7 +414,8 @@ void Nic::on_rnr_nak(std::uint32_t qp, std::uint64_t psn) {
 void Nic::retransmit_flow(std::uint32_t qp) {
   TxFlow& f = tx_flows_[qp];
   if (f.state != QpState::kRts) return;
-  for (const TxEntry& e : f.unacked) {
+  for (std::size_t i = 0; i < f.unacked.size(); ++i) {
+    const TxEntry& e = f.unacked[i];
     ++tstats_.retransmits;
     fabric_.send(net::NetPacket::data(e.md, node_id_, f.peer, e.psn));
   }
@@ -489,7 +490,7 @@ void Nic::flush_unacked(std::uint32_t qp, TxFlow& f,
   common::Status status = head_status;
   while (!f.unacked.empty()) {
     const std::uint64_t msg_id = f.unacked.front().md.msg_id;
-    f.unacked.pop_front();
+    f.unacked.pop();
     ++tstats_.flushed_wqes;
     complete_with_error(qp, msg_id, status);
     status = common::Status::kFlushed;

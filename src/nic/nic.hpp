@@ -36,7 +36,6 @@
 // events are scheduled, so error-free runs stay bit-identical.
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <utility>
@@ -229,7 +228,7 @@ class Nic {
     std::uint64_t next_psn = 1;
     /// Sent-but-not-cumulatively-ACKed packets, PSN order (go-back-N
     /// window).
-    std::deque<TxEntry> unacked;
+    common::Ring<TxEntry> unacked;
     int retry_count = 0;
     int rnr_count = 0;
     /// True while an RNR backoff delay is pending (suppresses

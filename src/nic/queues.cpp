@@ -9,16 +9,14 @@ std::optional<Cqe> CqRing::poll(TimePs now) {
     return std::nullopt;
   }
   Cqe e = entries_.front();
-  entries_.pop_front();
+  entries_.pop();
   return e;
 }
 
 std::size_t CqRing::visible_count(TimePs now) const {
   std::size_t n = 0;
-  for (const auto& e : entries_) {
-    if (e.visible_at > now) break;  // entries are pushed in time order
-    ++n;
-  }
+  // Entries are pushed in time order.
+  while (n < entries_.size() && entries_[n].visible_at <= now) ++n;
   return n;
 }
 

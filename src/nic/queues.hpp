@@ -15,6 +15,7 @@
 #include <map>
 #include <optional>
 
+#include "common/ring.hpp"
 #include "common/status.hpp"
 #include "common/units.hpp"
 #include "pcie/root_complex.hpp"
@@ -41,7 +42,10 @@ struct Cqe {
 /// A CQ ring in host memory.
 class CqRing {
  public:
-  void push(Cqe e) { entries_.push_back(e); ++total_pushed_; }
+  void push(const Cqe& e) {
+    entries_.push(e);
+    ++total_pushed_;
+  }
 
   /// Dequeues the oldest entry visible at `now`, if any.
   std::optional<Cqe> poll(TimePs now);
@@ -52,7 +56,7 @@ class CqRing {
   std::uint64_t total_pushed() const { return total_pushed_; }
 
  private:
-  std::deque<Cqe> entries_;
+  common::Ring<Cqe> entries_;
   std::uint64_t total_pushed_ = 0;
 };
 

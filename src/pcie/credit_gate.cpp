@@ -1,27 +1,10 @@
 #include "pcie/credit_gate.hpp"
 
-#include <utility>
-
 namespace bb::pcie {
 
 CreditGate::CreditGate(sim::Simulator& sim, Link& link, Direction dir,
                        CreditState credits)
     : sim_(sim), link_(link), dir_(dir), credits_(credits) {}
-
-void CreditGate::Fifo::push(const Tlp& t) {
-  if (count_ == v_.size()) {
-    const std::size_t cap = v_.empty() ? 16 : v_.size() * 2;
-    std::vector<Tlp> bigger(cap);
-    for (std::size_t i = 0; i < count_; ++i) {
-      bigger[i] = std::move(v_[(head_ + i) & mask_]);
-    }
-    v_ = std::move(bigger);
-    head_ = 0;
-    mask_ = cap - 1;
-  }
-  v_[(head_ + count_) & mask_] = t;
-  ++count_;
-}
 
 void CreditGate::send(const Tlp& tlp) {
   fifo_.push(tlp);

@@ -12,8 +12,8 @@
 // same-picosecond events and change simulated results.
 
 #include <cstdint>
-#include <vector>
 
+#include "common/ring.hpp"
 #include "pcie/credit.hpp"
 #include "pcie/link.hpp"
 #include "sim/simulator.hpp"
@@ -40,25 +40,6 @@ class CreditGate {
   std::uint64_t stalls() const { return stalls_; }
 
  private:
-  /// Power-of-two circular FIFO: after warm-up a push or pop is an index
-  /// mask and a copy, with none of `std::deque`'s node churn.
-  class Fifo {
-   public:
-    bool empty() const { return count_ == 0; }
-    Tlp& front() { return v_[head_]; }
-    void push(const Tlp& t);
-    void pop() noexcept {
-      head_ = (head_ + 1) & mask_;
-      --count_;
-    }
-
-   private:
-    std::vector<Tlp> v_;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
-    std::size_t mask_ = 0;
-  };
-
   enum class State : std::uint8_t {
     kIdle,     // nothing queued, no drain pending
     kPending,  // a drain is scheduled at the current time
@@ -73,7 +54,7 @@ class CreditGate {
   Direction dir_;
   State state_ = State::kIdle;
   CreditState credits_;
-  Fifo fifo_;
+  common::Ring<Tlp> fifo_;
   std::uint64_t issued_ = 0;
   std::uint64_t stalls_ = 0;
 };

@@ -78,13 +78,13 @@ TEST(OneModel, UcpSettingsReachEveryConsumer) {
   tb.sim().run();
   EXPECT_EQ(a.ucp().rndv_sends(), 1u);
 
-  // Every per-peer stack of a 3-node World.
+  // Every endpoint of a 3-node World.
   scenario::Testbed cl(cfg, 3);
   coll::World world(cl);
   for (int r = 0; r < world.size(); ++r) {
     for (int p = 0; p < world.size(); ++p) {
       if (p == r) continue;
-      EXPECT_EQ(world.comm(r).stack(p).endpoint().config().signal_period, 8u)
+      EXPECT_EQ(world.comm(r).ucp().endpoint(p).config().signal_period, 8u)
           << r << "->" << p;
     }
   }

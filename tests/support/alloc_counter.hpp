@@ -4,8 +4,9 @@
 // Linking alloc_counter.cpp into a binary replaces the global allocation
 // functions for the whole program: every `operator new` is counted, then
 // served by malloc. Link it only into binaries that check allocation
-// counts (test_sim_engine, test_credit_gate, bench_engine_perf), so the
-// hooks cannot perturb anything else.
+// counts (test_sim_engine, test_credit_gate, test_llp_parked,
+// test_put_alloc, bench_engine_perf), so the hooks cannot perturb
+// anything else.
 
 #include <cstdint>
 

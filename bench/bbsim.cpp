@@ -354,6 +354,9 @@ int main(int argc, char** argv) {
   } catch (const bench::EpochOverrunError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
+  } catch (const bench::CollFailedError& e) {
+    std::fprintf(stderr, "collective failed: %s\n", e.what());
+    return 1;
   }
   const double model_ns =
       bbench::model_coll(model::CollModel(cfg), *kind, ranks, bytes);

@@ -16,8 +16,18 @@ sim::Task<void> OsuColl::rank_loop(int r) {
   const std::uint32_t elems = cfg_.bytes / 8;
   const std::uint64_t total = cfg_.warmup + cfg_.iterations;
 
+  // A failed iteration is noted, not cut short: the run keeps its
+  // timeline and run() reports the first failure.
+  const auto check = [&](common::Status st, std::uint64_t it,
+                         const char* what) {
+    if (st == common::Status::kOk || !failure_.empty()) return;
+    failure_ = std::string(what) + " returned " + common::to_string(st) +
+               " on rank " + std::to_string(r) + " in iteration " +
+               std::to_string(it);
+  };
+
   for (std::uint64_t it = 0; it < total; ++it) {
-    co_await coll::barrier(c);
+    check(co_await coll::barrier(c), it, "the sync barrier");
     // Align every rank to the iteration's absolute epoch tick. The
     // barrier alone leaves ranks skewed by its own exit spread, which
     // would either inflate (per-rank timing) or deflate (window timing)
@@ -30,9 +40,10 @@ sim::Task<void> OsuColl::rank_loop(int r) {
     }
     co_await world_.cluster().sim().delay(TimePs::from_ns(target - now));
     const double t0 = core.virtual_now().to_ns();
+    common::Status st = common::Status::kOk;
     switch (kind_) {
       case Kind::kBarrier: {
-        co_await coll::barrier(c, cfg_.algo);
+        st = co_await coll::barrier(c, cfg_.algo);
         break;
       }
       case Kind::kBcast: {
@@ -40,22 +51,23 @@ sim::Task<void> OsuColl::rank_loop(int r) {
         if (r == cfg_.root) {
           v.assign(elems, static_cast<double>(it + 1));
         }
-        co_await coll::bcast(c, cfg_.root, cfg_.bytes, v, cfg_.algo);
+        st = co_await coll::bcast(c, cfg_.root, cfg_.bytes, v, cfg_.algo);
         break;
       }
       case Kind::kAllgather: {
         std::vector<double> mine(elems, static_cast<double>(r + 1));
         std::vector<std::vector<double>> out;
-        co_await coll::allgather(c, cfg_.bytes, mine, out, cfg_.algo);
+        st = co_await coll::allgather(c, cfg_.bytes, mine, out, cfg_.algo);
         break;
       }
       case Kind::kAllreduce: {
         std::vector<double> v(elems, static_cast<double>(r + 1));
-        co_await coll::allreduce(c, cfg_.bytes, v, coll::ReduceOp::kSum,
-                                 cfg_.algo);
+        st = co_await coll::allreduce(c, cfg_.bytes, v, coll::ReduceOp::kSum,
+                                      cfg_.algo);
         break;
       }
     }
+    check(st, it, "the collective");
     starts_[static_cast<std::size_t>(r)].push_back(t0);
     ends_[static_cast<std::size_t>(r)].push_back(core.virtual_now().to_ns());
   }
@@ -70,6 +82,7 @@ CollResult OsuColl::run() {
     sim.spawn(rank_loop(r), "osu_coll-rank");
   }
   sim.run();
+  if (!failure_.empty()) throw CollFailedError(failure_);
 
   CollResult res;
   res.iterations = cfg_.iterations;

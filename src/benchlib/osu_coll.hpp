@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "benchlib/bench_types.hpp"
@@ -41,6 +42,14 @@ class EpochOverrunError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Thrown out of OsuColl::run when a collective (or an iteration's sync
+/// barrier) returned a non-OK status on some rank, e.g. a wait's watchdog
+/// fired. The run itself completes first, so its timeline is unchanged.
+class CollFailedError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Result of a collective latency run.
 struct CollResult {
   /// Per-iteration collective time (global last-in -> last-out window).
@@ -67,6 +76,8 @@ class OsuColl {
   /// them to a per-iteration global window (last in -> last out).
   std::vector<std::vector<double>> starts_;
   std::vector<std::vector<double>> ends_;
+  /// The first failed iteration, for run() to report (empty: none).
+  std::string failure_;
 };
 
 }  // namespace bb::bench

@@ -65,19 +65,27 @@ Algo resolve_allreduce(const CollTuning& t, int nranks, std::uint32_t bytes,
 
 namespace {
 
+/// Keeps the first non-OK status of a schedule's waits in `first`. A
+/// failed wait does not end the schedule: the remaining steps run as they
+/// would have, and the schedule returns `first`.
+void keep_first(common::Status& first, common::Status s) {
+  if (first == common::Status::kOk) first = s;
+}
+
 /// Simultaneous exchange with (possibly identical) peers: recv posted
 /// first (MPI idiom), both completed by the shared progress engine, the
-/// received payload handed back.
+/// received payload handed back; the waitall's status folds into `st`.
 sim::Task<std::vector<double>> sendrecv(Communicator& c, int dst,
                                         std::uint32_t send_bytes,
                                         std::vector<double> send_data,
-                                        int src, std::uint32_t recv_bytes) {
+                                        int src, std::uint32_t recv_bytes,
+                                        common::Status& st) {
   hlp::Request* rr = c.irecv(src, recv_bytes);
   hlp::Request* sr = co_await c.isend(dst, send_bytes, std::move(send_data));
   std::vector<hlp::Request*> reqs;
   reqs.push_back(sr);
   reqs.push_back(rr);
-  co_await c.waitall(reqs);
+  keep_first(st, co_await c.waitall(reqs));
   co_return c.take_data(src);
 }
 
@@ -92,7 +100,8 @@ void reduce_into(ReduceOp op, std::vector<double>& dst,
 
 // ---------------------------------------------------------------- Barrier
 
-sim::Task<void> barrier_dissemination(Communicator& c) {
+sim::Task<common::Status> barrier_dissemination(Communicator& c) {
+  common::Status st = common::Status::kOk;
   const int n = c.size(), r = c.rank();
   // Round k: notify rank r+2^k, hear from rank r-2^k. ceil(log2 n)
   // rounds, after which every rank transitively heard from every other.
@@ -102,12 +111,13 @@ sim::Task<void> barrier_dissemination(Communicator& c) {
     // Named empty payload: GCC 12 double-destroys prvalue temporaries
     // passed as coroutine arguments inside co_await expressions.
     std::vector<double> token;
-    (void)co_await sendrecv(c, dst, 8, std::move(token), src, 8);
+    (void)co_await sendrecv(c, dst, 8, std::move(token), src, 8, st);
   }
-  co_return;
+  co_return st;
 }
 
-sim::Task<void> barrier_ring_token(Communicator& c) {
+sim::Task<common::Status> barrier_ring_token(Communicator& c) {
+  common::Status st = common::Status::kOk;
   const int n = c.size(), r = c.rank();
   const int right = (r + 1) % n, left = (r - 1 + n) % n;
   // Two laps of a token: lap one proves everyone arrived, lap two
@@ -116,25 +126,27 @@ sim::Task<void> barrier_ring_token(Communicator& c) {
   for (int lap = 0; lap < 2; ++lap) {
     if (r == 0) {
       hlp::Request* s = co_await c.isend(right, 8);
-      co_await c.wait(s);
+      keep_first(st, co_await c.wait(s));
       hlp::Request* rr = c.irecv(left, 8);
-      co_await c.wait(rr);
+      keep_first(st, co_await c.wait(rr));
       (void)c.take_data(left);
     } else {
       hlp::Request* rr = c.irecv(left, 8);
-      co_await c.wait(rr);
+      keep_first(st, co_await c.wait(rr));
       (void)c.take_data(left);
       hlp::Request* s = co_await c.isend(right, 8);
-      co_await c.wait(s);
+      keep_first(st, co_await c.wait(s));
     }
   }
-  co_return;
+  co_return st;
 }
 
 // ------------------------------------------------------------------ Bcast
 
-sim::Task<void> bcast_binomial(Communicator& c, int root, std::uint32_t bytes,
-                               std::vector<double>& data) {
+sim::Task<common::Status> bcast_binomial(Communicator& c, int root,
+                                         std::uint32_t bytes,
+                                         std::vector<double>& data) {
+  common::Status st = common::Status::kOk;
   const int n = c.size(), r = c.rank();
   const int vr = (r - root + n) % n;  // relative rank: root becomes 0
   const std::uint32_t wb = wire_bytes(bytes);
@@ -145,7 +157,7 @@ sim::Task<void> bcast_binomial(Communicator& c, int root, std::uint32_t bytes,
     if (vr & mask) {
       const int src = (vr - mask + root) % n;
       hlp::Request* rr = c.irecv(src, wb);
-      co_await c.wait(rr);
+      keep_first(st, co_await c.wait(rr));
       data = c.take_data(src);
       break;
     }
@@ -161,12 +173,14 @@ sim::Task<void> bcast_binomial(Communicator& c, int root, std::uint32_t bytes,
     }
     mask >>= 1;
   }
-  if (!sends.empty()) co_await c.waitall(sends);
-  co_return;
+  if (!sends.empty()) keep_first(st, co_await c.waitall(sends));
+  co_return st;
 }
 
-sim::Task<void> bcast_chain(Communicator& c, int root, std::uint32_t bytes,
-                            std::vector<double>& data) {
+sim::Task<common::Status> bcast_chain(Communicator& c, int root,
+                                      std::uint32_t bytes,
+                                      std::vector<double>& data) {
+  common::Status st = common::Status::kOk;
   const int n = c.size(), r = c.rank();
   const std::uint32_t seg =
       std::max<std::uint32_t>(8, c.tuning().bcast_chain_segment_bytes);
@@ -189,8 +203,8 @@ sim::Task<void> bcast_chain(Communicator& c, int root, std::uint32_t bytes,
       if (s == 0) payload = data;
       sends.push_back(co_await c.isend(next, seg_bytes(s), std::move(payload)));
     }
-    co_await c.waitall(sends);
-    co_return;
+    keep_first(st, co_await c.waitall(sends));
+    co_return st;
   }
 
   // Interior and tail ranks: pre-post every segment, then forward each
@@ -201,22 +215,23 @@ sim::Task<void> bcast_chain(Communicator& c, int root, std::uint32_t bytes,
   for (int s = 0; s < nseg; ++s) recvs.push_back(c.irecv(prev, seg_bytes(s)));
   std::vector<hlp::Request*> sends;
   for (int s = 0; s < nseg; ++s) {
-    co_await c.wait(recvs[static_cast<std::size_t>(s)]);
+    keep_first(st, co_await c.wait(recvs[static_cast<std::size_t>(s)]));
     std::vector<double> got = c.take_data(prev);
     if (s == 0) data = got;
     if (vr != n - 1) {
       sends.push_back(co_await c.isend(next, seg_bytes(s), std::move(got)));
     }
   }
-  if (!sends.empty()) co_await c.waitall(sends);
-  co_return;
+  if (!sends.empty()) keep_first(st, co_await c.waitall(sends));
+  co_return st;
 }
 
 // -------------------------------------------------------------- Allgather
 
-sim::Task<void> allgather_ring(Communicator& c, std::uint32_t bytes_per_rank,
-                               const std::vector<double>& mine,
-                               std::vector<std::vector<double>>& out) {
+sim::Task<common::Status> allgather_ring(
+    Communicator& c, std::uint32_t bytes_per_rank,
+    const std::vector<double>& mine, std::vector<std::vector<double>>& out) {
+  common::Status st = common::Status::kOk;
   const int n = c.size(), r = c.rank();
   const std::uint32_t wb = wire_bytes(bytes_per_rank);
   const int right = (r + 1) % n, left = (r - 1 + n) % n;
@@ -228,14 +243,15 @@ sim::Task<void> allgather_ring(Communicator& c, std::uint32_t bytes_per_rank,
     const int sb = (r - s + n) % n;
     const int rb = (r - s - 1 + n) % n;
     out[static_cast<std::size_t>(rb)] = co_await sendrecv(
-        c, right, wb, out[static_cast<std::size_t>(sb)], left, wb);
+        c, right, wb, out[static_cast<std::size_t>(sb)], left, wb, st);
   }
-  co_return;
+  co_return st;
 }
 
-sim::Task<void> allgather_bruck(Communicator& c, std::uint32_t bytes_per_rank,
-                                const std::vector<double>& mine,
-                                std::vector<std::vector<double>>& out) {
+sim::Task<common::Status> allgather_bruck(
+    Communicator& c, std::uint32_t bytes_per_rank,
+    const std::vector<double>& mine, std::vector<std::vector<double>>& out) {
+  common::Status st = common::Status::kOk;
   const int n = c.size(), r = c.rank();
   const std::size_t elems = mine.size();
   // tmp[i] accumulates the contribution of rank (r+i) % n; round k ships
@@ -255,7 +271,7 @@ sim::Task<void> allgather_bruck(Communicator& c, std::uint32_t bytes_per_rank,
     const std::uint32_t wb =
         wire_bytes(static_cast<std::uint64_t>(cnt) * bytes_per_rank);
     std::vector<double> got =
-        co_await sendrecv(c, dst, wb, std::move(payload), src, wb);
+        co_await sendrecv(c, dst, wb, std::move(payload), src, wb, st);
     BB_ASSERT(got.size() == static_cast<std::size_t>(cnt) * elems);
     for (int i = 0; i < cnt; ++i) {
       auto first = got.begin() + static_cast<std::ptrdiff_t>(
@@ -269,13 +285,15 @@ sim::Task<void> allgather_bruck(Communicator& c, std::uint32_t bytes_per_rank,
     out[static_cast<std::size_t>((r + i) % n)] =
         std::move(tmp[static_cast<std::size_t>(i)]);
   }
-  co_return;
+  co_return st;
 }
 
 // -------------------------------------------------------------- Allreduce
 
-sim::Task<void> allreduce_ring(Communicator& c, std::uint32_t bytes,
-                               std::vector<double>& inout, ReduceOp op) {
+sim::Task<common::Status> allreduce_ring(Communicator& c, std::uint32_t bytes,
+                                         std::vector<double>& inout,
+                                         ReduceOp op) {
+  common::Status st = common::Status::kOk;
   const int n = c.size(), r = c.rank();
   const std::size_t elems = inout.size();
   (void)bytes;
@@ -311,7 +329,7 @@ sim::Task<void> allreduce_ring(Communicator& c, std::uint32_t bytes,
     std::vector<double> outgoing = chunk_copy(sc);
     std::vector<double> got =
         co_await sendrecv(c, right, chunk_wire(sc), std::move(outgoing), left,
-                          chunk_wire(rc));
+                          chunk_wire(rc), st);
     reduce_into(op, inout, got, displs[static_cast<std::size_t>(rc)]);
   }
   // Allgather lap: circulate the reduced chunks.
@@ -321,18 +339,18 @@ sim::Task<void> allreduce_ring(Communicator& c, std::uint32_t bytes,
     std::vector<double> outgoing = chunk_copy(sc);
     std::vector<double> got =
         co_await sendrecv(c, right, chunk_wire(sc), std::move(outgoing), left,
-                          chunk_wire(rc));
+                          chunk_wire(rc), st);
     std::copy(got.begin(), got.end(),
               inout.begin() +
                   static_cast<std::ptrdiff_t>(displs[static_cast<std::size_t>(rc)]));
   }
-  co_return;
+  co_return st;
 }
 
-sim::Task<void> allreduce_recursive_doubling(Communicator& c,
-                                             std::uint32_t bytes,
-                                             std::vector<double>& inout,
-                                             ReduceOp op) {
+sim::Task<common::Status> allreduce_recursive_doubling(
+    Communicator& c, std::uint32_t bytes, std::vector<double>& inout,
+    ReduceOp op) {
+  common::Status st = common::Status::kOk;
   const int n = c.size(), r = c.rank();
   const std::uint32_t wb = wire_bytes(bytes);
   // MPICH non-power-of-two fold: the first 2*rem ranks pair up so that
@@ -345,11 +363,11 @@ sim::Task<void> allreduce_recursive_doubling(Communicator& c,
   if (r < 2 * rem) {
     if ((r & 1) == 0) {
       hlp::Request* s = co_await c.isend(r + 1, wb, inout);
-      co_await c.wait(s);
+      keep_first(st, co_await c.wait(s));
       newrank = -1;  // folded out until the final unfold
     } else {
       hlp::Request* rr = c.irecv(r - 1, wb);
-      co_await c.wait(rr);
+      keep_first(st, co_await c.wait(rr));
       reduce_into(op, inout, c.take_data(r - 1));
       newrank = r / 2;
     }
@@ -362,7 +380,7 @@ sim::Task<void> allreduce_recursive_doubling(Communicator& c,
       const int peer_new = newrank ^ mask;
       const int peer = peer_new < rem ? peer_new * 2 + 1 : peer_new + rem;
       std::vector<double> got =
-          co_await sendrecv(c, peer, wb, inout, peer, wb);
+          co_await sendrecv(c, peer, wb, inout, peer, wb, st);
       reduce_into(op, inout, got);
     }
   }
@@ -370,69 +388,71 @@ sim::Task<void> allreduce_recursive_doubling(Communicator& c,
   if (r < 2 * rem) {
     if (r & 1) {
       hlp::Request* s = co_await c.isend(r - 1, wb, inout);
-      co_await c.wait(s);
+      keep_first(st, co_await c.wait(s));
     } else {
       hlp::Request* rr = c.irecv(r + 1, wb);
-      co_await c.wait(rr);
+      keep_first(st, co_await c.wait(rr));
       inout = c.take_data(r + 1);
     }
   }
-  co_return;
+  co_return st;
 }
 
 }  // namespace
 
 // ----------------------------------------------------------- entry points
 
-sim::Task<void> barrier(Communicator& c, Algo a) {
-  if (c.size() < 2) co_return;
+sim::Task<common::Status> barrier(Communicator& c, Algo a) {
+  if (c.size() < 2) co_return common::Status::kOk;
   switch (resolve_barrier(c.tuning(), c.size(), a)) {
-    case Algo::kRingToken: co_await barrier_ring_token(c); break;
-    default: co_await barrier_dissemination(c); break;
+    case Algo::kRingToken: co_return co_await barrier_ring_token(c);
+    default: co_return co_await barrier_dissemination(c);
   }
 }
 
-sim::Task<void> bcast(Communicator& c, int root, std::uint32_t bytes,
-                      std::vector<double>& data, Algo a) {
+sim::Task<common::Status> bcast(Communicator& c, int root,
+                                std::uint32_t bytes, std::vector<double>& data,
+                                Algo a) {
   BB_ASSERT(root >= 0 && root < c.size());
   BB_ASSERT(bytes >= 8 && bytes % 8 == 0);
-  if (c.size() < 2) co_return;
+  if (c.size() < 2) co_return common::Status::kOk;
   if (c.rank() == root) BB_ASSERT(data.size() == bytes / 8);
   switch (resolve_bcast(c.tuning(), c.size(), bytes, a)) {
-    case Algo::kChain: co_await bcast_chain(c, root, bytes, data); break;
-    default: co_await bcast_binomial(c, root, bytes, data); break;
+    case Algo::kChain: co_return co_await bcast_chain(c, root, bytes, data);
+    default: co_return co_await bcast_binomial(c, root, bytes, data);
   }
 }
 
-sim::Task<void> allgather(Communicator& c, std::uint32_t bytes_per_rank,
-                          const std::vector<double>& mine,
-                          std::vector<std::vector<double>>& out, Algo a) {
+sim::Task<common::Status> allgather(Communicator& c,
+                                    std::uint32_t bytes_per_rank,
+                                    const std::vector<double>& mine,
+                                    std::vector<std::vector<double>>& out,
+                                    Algo a) {
   BB_ASSERT(bytes_per_rank >= 8 && bytes_per_rank % 8 == 0);
   BB_ASSERT(mine.size() == bytes_per_rank / 8);
   if (c.size() < 2) {
     out.assign(1, mine);
-    co_return;
+    co_return common::Status::kOk;
   }
   switch (resolve_allgather(c.tuning(), c.size(), bytes_per_rank, a)) {
     case Algo::kRingAllgather:
-      co_await allgather_ring(c, bytes_per_rank, mine, out);
-      break;
-    default: co_await allgather_bruck(c, bytes_per_rank, mine, out); break;
+      co_return co_await allgather_ring(c, bytes_per_rank, mine, out);
+    default:
+      co_return co_await allgather_bruck(c, bytes_per_rank, mine, out);
   }
 }
 
-sim::Task<void> allreduce(Communicator& c, std::uint32_t bytes,
-                          std::vector<double>& inout, ReduceOp op, Algo a) {
+sim::Task<common::Status> allreduce(Communicator& c, std::uint32_t bytes,
+                                    std::vector<double>& inout, ReduceOp op,
+                                    Algo a) {
   BB_ASSERT(bytes >= 8 && bytes % 8 == 0);
   BB_ASSERT(inout.size() == bytes / 8);
-  if (c.size() < 2) co_return;
+  if (c.size() < 2) co_return common::Status::kOk;
   switch (resolve_allreduce(c.tuning(), c.size(), bytes, a)) {
     case Algo::kRingAllreduce:
-      co_await allreduce_ring(c, bytes, inout, op);
-      break;
+      co_return co_await allreduce_ring(c, bytes, inout, op);
     default:
-      co_await allreduce_recursive_doubling(c, bytes, inout, op);
-      break;
+      co_return co_await allreduce_recursive_doubling(c, bytes, inout, op);
   }
 }
 

@@ -62,26 +62,33 @@ Algo resolve_allgather(const CollTuning& t, int nranks,
 Algo resolve_allreduce(const CollTuning& t, int nranks, std::uint32_t bytes,
                        Algo a = Algo::kAuto);
 
+// Every collective returns the first non-OK status among its waits
+// (kTimedOut when a watchdog fired), or kOk. A failed wait does not cut
+// the schedule short: the remaining steps run, so simulated time is the
+// same as if the caller had not looked.
+
 /// MPI_Barrier.
-sim::Task<void> barrier(Communicator& c, Algo a = Algo::kAuto);
+sim::Task<common::Status> barrier(Communicator& c, Algo a = Algo::kAuto);
 
 /// MPI_Bcast: on the root, `data` holds the payload (bytes/8 elements);
 /// elsewhere it is overwritten with the root's payload.
-sim::Task<void> bcast(Communicator& c, int root, std::uint32_t bytes,
-                      std::vector<double>& data, Algo a = Algo::kAuto);
+sim::Task<common::Status> bcast(Communicator& c, int root,
+                                std::uint32_t bytes, std::vector<double>& data,
+                                Algo a = Algo::kAuto);
 
 /// MPI_Allgather: every rank contributes `mine` (bytes_per_rank/8
 /// elements); `out` ends up with one entry per rank, `out[r]` = rank r's
 /// contribution (including our own).
-sim::Task<void> allgather(Communicator& c, std::uint32_t bytes_per_rank,
-                          const std::vector<double>& mine,
-                          std::vector<std::vector<double>>& out,
-                          Algo a = Algo::kAuto);
+sim::Task<common::Status> allgather(Communicator& c,
+                                    std::uint32_t bytes_per_rank,
+                                    const std::vector<double>& mine,
+                                    std::vector<std::vector<double>>& out,
+                                    Algo a = Algo::kAuto);
 
 /// MPI_Allreduce: elementwise `op` across all ranks' `inout` vectors
 /// (bytes/8 elements each); every rank ends with the reduced vector.
-sim::Task<void> allreduce(Communicator& c, std::uint32_t bytes,
-                          std::vector<double>& inout, ReduceOp op,
-                          Algo a = Algo::kAuto);
+sim::Task<common::Status> allreduce(Communicator& c, std::uint32_t bytes,
+                                    std::vector<double>& inout, ReduceOp op,
+                                    Algo a = Algo::kAuto);
 
 }  // namespace bb::coll

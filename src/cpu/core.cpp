@@ -23,8 +23,7 @@ void Core::consume(TimePs d) {
 }
 
 TimePs Core::consume(const CostSpec& spec) {
-  TimePs d = spec.sample(rng_);
-  if (speed_factor_ != 1.0) d = d.scaled(speed_factor_);
+  const TimePs d = speed_scaled(spec.sample(rng_));
   consume(d);
   return d;
 }

@@ -12,6 +12,7 @@
 // cntvct_el0 timer reads.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/rng.hpp"
@@ -66,6 +67,16 @@ class Core {
   }
   /// Marks the parked waiter's pass as running.
   void unpark() { parked_ = false; }
+  /// Books `d` of work that passes of the parked waiter ran in one merged
+  /// step (sim::Waiter::skip): busy time as if each pass had consumed its
+  /// costs; the core stays parked with nothing pending.
+  void charge_parked(TimePs d) { busy_ += d; }
+  /// What consume(spec) accrues when `spec` draws nothing from the Rng
+  /// (no jitter, no hiccup tail); nullopt when it does.
+  std::optional<TimePs> fixed_cost(const CostSpec& spec) const {
+    if (spec.draws()) return std::nullopt;
+    return speed_scaled(spec.mean());
+  }
 
   /// Core-local time: simulator time plus un-flushed pending work.
   TimePs virtual_now() const;
@@ -74,6 +85,10 @@ class Core {
   TimePs busy_time() const { return busy_; }
 
  private:
+  TimePs speed_scaled(TimePs d) const {
+    return speed_factor_ != 1.0 ? d.scaled(speed_factor_) : d;
+  }
+
   sim::Simulator& sim_;
   CpuCostModel model_;
   std::string name_;

@@ -47,6 +47,10 @@ struct CostSpec {
 
   TimePs mean() const { return TimePs::from_ns(mean_ns); }
 
+  /// Whether sample() draws from the Rng; when it does not, every sample
+  /// is mean().
+  bool draws() const { return (cv > 0.0 && mean_ns > 0.0) || tail_prob > 0.0; }
+
   TimePs sample(Rng& rng) const {
     double v = mean_ns;
     if (cv > 0.0 && mean_ns > 0.0) {

@@ -1,5 +1,8 @@
 #include "llp/worker.hpp"
 
+#include <algorithm>
+#include <optional>
+
 #include "common/assert.hpp"
 #include "llp/endpoint.hpp"
 
@@ -9,25 +12,35 @@ Worker::Worker(cpu::Core& core, nic::HostMemory& host, WorkerConfig cfg)
     : core_(core), host_(host), cfg_(cfg) {}
 
 void Worker::register_endpoint(Endpoint* ep) {
-  endpoints_.push_back(Polled{ep, &host_.tx_cq(ep->config().qp)});
+  nic::CqRing& cq = host_.tx_cq(ep->config().qp);
+  // Two endpoints of this worker on one QP share its CQ: count it once.
+  if (cq.nonempty_count() != &nonempty_tx_cqs_) {
+    BB_ASSERT_MSG(cq.nonempty_count() == nullptr,
+                  "a TX CQ polled by two workers");
+    cq.count_nonempty_in(&nonempty_tx_cqs_);
+  }
+  endpoints_.push_back(Polled{ep, &cq});
 }
 
 bool Worker::completion_ready() const {
   // The RC commits every DMA write at its visibility time, so a ring
   // entry is always visible: non-empty here means the next pass dequeues.
-  const auto ready = [this](const nic::CqRing& cq) {
-    if (cq.depth() == 0) return false;
 #ifndef NDEBUG
-    BB_ASSERT_MSG(cq.visible_count(core_.simulator().now()) > 0,
+  const TimePs now = core_.simulator().now();
+  const auto check = [now](const nic::CqRing& cq) {
+    BB_ASSERT_MSG(cq.depth() == 0 || cq.visible_count(now) > 0,
                   "CQ entry committed before its visibility time");
-#endif
-    return true;
   };
-  if (ready(host_.rx_cq())) return true;
-  for (const Polled& p : endpoints_) {
-    if (ready(*p.tx_cq)) return true;
-  }
-  return false;
+  check(host_.rx_cq());
+  for (const Polled& p : endpoints_) check(*p.tx_cq);
+  BB_ASSERT_MSG((nonempty_tx_cqs_ != 0) ==
+                    std::any_of(endpoints_.begin(), endpoints_.end(),
+                                [](const Polled& p) {
+                                  return p.tx_cq->depth() != 0;
+                                }),
+                "non-empty TX CQ count out of step with the rings");
+#endif
+  return host_.rx_cq().depth() != 0 || nonempty_tx_cqs_ != 0;
 }
 
 bool Worker::profiling_passes() const {
@@ -47,6 +60,15 @@ bool Worker::IdleAwaiter::run() {
     if (core.park(*this)) return true;
   } while (!done());
   return false;
+}
+
+TimePs Worker::IdleAwaiter::fixed_period() const {
+  const cpu::Core& core = w_.core_;
+  const std::optional<TimePs> empty =
+      core.fixed_cost(core.costs().llp_empty_progress);
+  const std::optional<TimePs> upper =
+      upper_pass_ != nullptr ? core.fixed_cost(*upper_pass_) : TimePs::zero();
+  return empty && upper ? *empty + *upper : TimePs::zero();
 }
 
 sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions) {

@@ -13,7 +13,8 @@
 // A blocking wait spends nearly all of its passes finding nothing. idle()
 // parks the waiter off the event queue and the simulator runs those empty
 // passes inline, with identical costs, times, RNG draws and logical event
-// counts (docs/SIM_ENGINE.md, "Parked waiters").
+// counts (docs/SIM_ENGINE.md, "Parked waiters"); passes that draw no
+// jitter it may run a whole idle gap at a time ("Gap merge").
 
 #include <coroutine>
 #include <cstdint>
@@ -38,6 +39,9 @@ struct WorkerConfig {
 class Worker {
  public:
   Worker(cpu::Core& core, nic::HostMemory& host, WorkerConfig cfg = {});
+  // Its TX CQs count into it by address.
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
 
   cpu::Core& core() { return core_; }
   nic::HostMemory& host() { return host_; }
@@ -92,7 +96,8 @@ class Worker {
     nic::CqRing* tx_cq;
   };
 
-  /// Whether a progress pass now would dequeue something.
+  /// Whether a progress pass now would dequeue something: O(1), from the
+  /// shared RX CQ's depth and the count of non-empty TX CQs.
   bool completion_ready() const;
   /// Whether progress() would open a measured region every pass.
   bool profiling_passes() const;
@@ -100,6 +105,9 @@ class Worker {
   cpu::Core& core_;
   nic::HostMemory& host_;
   WorkerConfig cfg_;
+  // TX CQs of endpoints_ that hold an entry (nic::CqRing keeps it). Sits
+  // in cfg_'s tail padding, so the Worker keeps its size and offsets.
+  std::uint32_t nonempty_tx_cqs_ = 0;
   prof::Profiler* profiler_ = nullptr;
   std::vector<Polled> endpoints_;
   std::function<void(const nic::Cqe&)> rx_handler_;
@@ -113,7 +121,9 @@ class Worker {
 class Worker::IdleAwaiter final : public sim::Waiter {
  public:
   IdleAwaiter(Worker& w, const cpu::CostSpec* upper_pass, TimePs deadline)
-      : w_(w), upper_pass_(upper_pass), deadline_(deadline) {}
+      : w_(w), upper_pass_(upper_pass) {
+    deadline_ = deadline;
+  }
   // The simulator holds its address while it is parked.
   IdleAwaiter(const IdleAwaiter&) = delete;
   IdleAwaiter& operator=(const IdleAwaiter&) = delete;
@@ -123,6 +133,7 @@ class Worker::IdleAwaiter final : public sim::Waiter {
   bool await_suspend(std::coroutine_handle<Promise> h) {
     h_ = h;
     waiting_ = &h.promise();
+    period_ = fixed_period();
     return run();
   }
   std::uint64_t await_resume() const { return passes_; }
@@ -131,8 +142,10 @@ class Worker::IdleAwaiter final : public sim::Waiter {
     w_.core_.unpark();
     if (done() || !run()) h_.resume();
   }
-  bool stalled() const override {
-    return deadline_ == TimePs::max() && !w_.completion_ready();
+  bool ready() const override { return w_.completion_ready(); }
+  void skip(std::uint64_t n) override {
+    w_.core_.charge_parked(period_ * static_cast<std::int64_t>(n));
+    passes_ += n;
   }
 
  private:
@@ -142,10 +155,11 @@ class Worker::IdleAwaiter final : public sim::Waiter {
   // Runs passes until one parks on its flush (true: stay suspended) or
   // the wait is done without time passing (false).
   bool run();
+  // What one pass charges when neither cost draws jitter; zero otherwise.
+  TimePs fixed_period() const;
 
   Worker& w_;
   const cpu::CostSpec* upper_pass_;
-  TimePs deadline_;
   std::coroutine_handle<> h_;
   std::uint64_t passes_ = 0;
 };

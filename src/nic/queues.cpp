@@ -10,6 +10,7 @@ std::optional<Cqe> CqRing::poll(TimePs now) {
   }
   Cqe e = entries_.front();
   entries_.pop();
+  if (entries_.empty() && nonempty_count_ != nullptr) --*nonempty_count_;
   return e;
 }
 
@@ -21,15 +22,13 @@ std::size_t CqRing::visible_count(TimePs now) const {
 }
 
 std::size_t HostMemory::staged_count(std::uint32_t qp) const {
-  auto it = staged_.find(qp);
-  return it == staged_.end() ? 0 : it->second.size();
+  return qp < staged_.size() ? staged_[qp].size() : 0;
 }
 
 std::optional<pcie::WireMd> HostMemory::take_staged(std::uint32_t qp) {
-  auto it = staged_.find(qp);
-  if (it == staged_.end() || it->second.empty()) return std::nullopt;
-  pcie::WireMd md = it->second.front();
-  it->second.pop_front();
+  if (staged_count(qp) == 0) return std::nullopt;
+  const pcie::WireMd md = staged_[qp].front();
+  staged_[qp].pop();
   return md;
 }
 
@@ -62,10 +61,9 @@ pcie::ReadCompletion HostMemory::serve_read(const pcie::ReadRequest& req) {
   rc.what = req.what;
   rc.bytes = req.bytes;
   if (req.what == pcie::ReadRequest::What::kDescriptor) {
-    auto& q = staged_[req.qp];
-    BB_ASSERT_MSG(!q.empty(), "NIC fetched a descriptor that was not staged");
-    rc.md = q.front();
-    q.pop_front();
+    const std::optional<pcie::WireMd> md = take_staged(req.qp);
+    BB_ASSERT_MSG(md, "NIC fetched a descriptor that was not staged");
+    rc.md = *md;
     rc.bytes = 64;  // a device descriptor slot
   }
   return rc;

@@ -10,10 +10,10 @@
 // designated memory location behave like the real machine.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "common/ring.hpp"
 #include "common/status.hpp"
@@ -43,9 +43,19 @@ struct Cqe {
 class CqRing {
  public:
   void push(const Cqe& e) {
+    if (entries_.empty() && nonempty_count_ != nullptr) ++*nonempty_count_;
     entries_.push(e);
     ++total_pushed_;
   }
+
+  /// Keeps `*count` as the number of non-empty rings among those counted
+  /// into it: a push onto an empty ring increments it, and the poll that
+  /// empties the ring decrements it (llp::Worker's O(1) readiness).
+  void count_nonempty_in(std::uint32_t* count) {
+    nonempty_count_ = count;
+    if (!entries_.empty()) ++*count;
+  }
+  const std::uint32_t* nonempty_count() const { return nonempty_count_; }
 
   /// Dequeues the oldest entry visible at `now`, if any.
   std::optional<Cqe> poll(TimePs now);
@@ -58,6 +68,7 @@ class CqRing {
  private:
   common::Ring<Cqe> entries_;
   std::uint64_t total_pushed_ = 0;
+  std::uint32_t* nonempty_count_ = nullptr;
 };
 
 /// The host-memory image of one node: CQ rings, the staged-descriptor ring
@@ -81,7 +92,8 @@ class HostMemory {
   /// Driver stages a descriptor in the host ring before ringing the
   /// DoorBell (non-PIO path, §2 step 0).
   void stage_descriptor(const pcie::WireMd& md) {
-    staged_[md.qp].push_back(md);
+    if (md.qp >= staged_.size()) staged_.resize(md.qp + 1);
+    staged_[md.qp].push(md);
   }
   std::size_t staged_count(std::uint32_t qp) const;
   /// Removes and returns the oldest staged descriptor on `qp` (fault
@@ -102,7 +114,9 @@ class HostMemory {
  private:
   std::map<std::uint32_t, CqRing> tx_cqs_;
   CqRing rx_cq_;
-  std::map<std::uint32_t, std::deque<pcie::WireMd>> staged_;
+  // One descriptor ring per QP, indexed by QP id (Testbed hands them out
+  // densely from 1; template endpoints use 0).
+  std::vector<common::Ring<pcie::WireMd>> staged_;
   std::uint64_t next_msg_id_ = 1;
   std::function<void()> commit_hook_;
   std::uint64_t payload_bytes_delivered_ = 0;

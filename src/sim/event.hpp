@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -373,7 +374,6 @@ class TimerHeap {
     return true;
   }
 
- private:
   struct Entry {
     std::int64_t t_ps;
     std::uint64_t seq;
@@ -384,6 +384,16 @@ class TimerHeap {
       return seq < o.seq;
     }
   };
+
+  /// The entries in heap order; call rebuild() after editing their keys.
+  std::span<Entry> entries() { return v_; }
+  /// Restores the heap order after keys were edited through entries().
+  void rebuild() {
+    // Every parent, deepest first: the last parent is (size - 2) / 4.
+    for (std::size_t i = (v_.size() + 2) / 4; i-- > 0;) sift_down(i);
+  }
+
+ private:
 
   // Retired backing arrays park in a thread-local cache (cleared, capacity
   // kept) so fresh heaps skip the doubling-growth ramp entirely.

@@ -1,6 +1,8 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <span>
 
 namespace bb::sim {
 
@@ -104,8 +106,14 @@ void Simulator::dispatch(TimePs t, detail::EventItem item) {
 }
 
 // A parked waiter's pass, run inline as the event its boundary stands
-// for: same clock update, same count, same event-limit check.
-void Simulator::run_pass(TimePs t) {
+// for: same clock update, same count, same event-limit check. A head
+// without jitter may instead take the whole gap before `bound` in one
+// step; the check lives here, off the dispatch loop that run() inlines.
+void Simulator::run_pass(TimePs t, TimePs bound) {
+  const auto* head = reinterpret_cast<const Waiter*>(parked_.top_item());
+  if (head->period_ != TimePs::zero() && t < bound && merge_gap(bound)) {
+    return;
+  }
   Waiter* w = reinterpret_cast<Waiter*>(parked_.pop());
   now_ = t;
   ++events_processed_;
@@ -177,7 +185,11 @@ bool Simulator::has_event_at_or_before(TimePs t) const {
   return false;
 }
 
-bool Simulator::step_impl() {
+bool Simulator::step_impl(TimePs bound) {
+#ifndef NDEBUG
+  BB_ASSERT_MSG(owner_ == std::this_thread::get_id(),
+                "Simulator stepped off its construction thread");
+#endif
   TimePs t;
   detail::EventItem item;
   switch (pick_next(t, item)) {
@@ -187,14 +199,110 @@ bool Simulator::step_impl() {
       dispatch(t, item);
       break;
     case Next::kPass:
-      run_pass(t);
+      run_pass(t, bound);
       break;
   }
   return true;
 }
 
+// The parked head is due. When every parked waiter passes with one fixed
+// period d, runs every pass that lies before the horizon H in one step
+// (docs/SIM_ENGINE.md, "Gap merge"). H is the first time a pass could see
+// a change: the next queued event, `bound`, a deadline passing or a CQ
+// already holding an entry. No pass before H ends its wait or touches
+// anything but its own core, so each waiter i at boundary b_i runs
+// n_i = ceil((H - b_i) / d) passes and is re-keyed as its last pass would
+// have parked it: at b_i + n_i*d, with the seq that pass would take from
+// the counter, N + r_i, r_i being the passes of the gap that run before
+// it. Same-phase ties (b_i = b_j mod d) go to the larger entry boundary,
+// then the smaller seq. Returns false, having changed nothing, when the
+// pass-by-pass path must run instead.
+bool Simulator::merge_gap(TimePs bound) {
+  // Keeps the lattice scratch on the stack; larger sets run pass by pass.
+  constexpr std::size_t kMaxWaiters = 64;
+  const std::int64_t d =
+      reinterpret_cast<const Waiter*>(parked_.top_item())->period_.ps();
+  std::int64_t h = bound.ps();
+  if (!ring_.empty()) return false;  // the head is due at now_ itself
+  if (!run_.empty()) h = std::min(h, run_.front_time());
+  if (!heap_.empty()) h = std::min(h, heap_.top_time().ps());
+
+  const std::span<detail::TimerHeap::Entry> es = parked_.entries();
+  const std::size_t k = es.size();
+  if (k > kMaxWaiters) return false;
+  const std::int64_t b0 = parked_.top_time().ps();
+  for (const detail::TimerHeap::Entry& e : es) {
+    const auto* w = reinterpret_cast<const Waiter*>(e.item);
+    if (w->period_.ps() != d) return false;
+    if (w->deadline_ != TimePs::max()) {
+      h = std::min(h, w->deadline_.ps() + 1);
+    }
+    if (w->ready()) h = std::min(h, e.t_ps);
+    if (h <= b0) return false;
+  }
+  // Nothing bounds the gap: the stall check must see every pass.
+  if (h == TimePs::max().ps()) return false;
+
+  // Per waiter: lattice coordinates b_i - b0 = q*d + p (0 <= p < d), the
+  // passes n it runs before h, and r. Only the first k are written.
+  struct Lattice {
+    std::int64_t q, p, n;
+    std::uint64_t r;
+  };
+  Lattice lat[kMaxWaiters];
+  const std::int64_t qh = (h - b0) / d, ph = (h - b0) % d;
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::int64_t q = (es[i].t_ps - b0) / d, p = (es[i].t_ps - b0) % d;
+    const std::int64_t n = std::max<std::int64_t>(0, qh - q + (ph > p ? 1 : 0));
+    lat[i] = Lattice{q, p, n, 0};
+    total += static_cast<std::uint64_t>(n);
+  }
+  if (event_limit_ != 0 && events_processed_ + total > event_limit_) {
+    return false;  // the pass that crosses it must throw in place
+  }
+
+  // r_i: passes of waiter j before i's last pass, at lattice index
+  // l_i = q_i + n_i - 1, are max(0, l_i - q_j + [p_i > p_j]) (j's earlier
+  // passes included); at a same-phase tie j's pass at l_i goes first when
+  // j entered later, or at the same boundary with a smaller seq.
+  std::int64_t last = now_.ps();
+  for (std::size_t i = 0; i < k; ++i) {
+    Lattice& a = lat[i];
+    if (a.n == 0) continue;
+    const std::int64_t l = a.q + a.n - 1;
+    std::int64_t before = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const Lattice& b = lat[j];
+      if (b.p == a.p) {
+        if (b.q > l) continue;
+        before += l - b.q;
+        if (b.q > a.q || (b.q == a.q && es[j].seq < es[i].seq)) ++before;
+      } else {
+        before += std::max<std::int64_t>(0, l - b.q + (a.p > b.p ? 1 : 0));
+      }
+    }
+    a.r = static_cast<std::uint64_t>(before);
+    last = std::max(last, b0 + l * d + a.p);
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    const Lattice& a = lat[i];
+    if (a.n == 0) continue;
+    es[i].t_ps += a.n * d;
+    es[i].seq = next_seq_ + a.r;
+    reinterpret_cast<Waiter*>(es[i].item)
+        ->skip(static_cast<std::uint64_t>(a.n));
+  }
+  parked_.rebuild();
+  now_ = TimePs(last);
+  next_seq_ += total;
+  events_processed_ += total;
+  parked_passes_ += total;
+  return true;
+}
+
 void Simulator::run() {
-  while (step()) {
+  while (step_impl(TimePs::max())) {
     if (!parked_.empty() && queue_empty()) [[unlikely]] {
       throw_if_stalled();
     }
@@ -223,8 +331,9 @@ std::string Simulator::root_name(const detail::PromiseBase* frame) const {
 }
 
 void Simulator::run_until(TimePs t) {
+  const TimePs bound = t == TimePs::max() ? t : t + TimePs(1);
   while (has_event_at_or_before(t)) {
-    step();
+    step_impl(bound);
   }
   if (now_ < t) now_ = t;
 }

@@ -21,7 +21,9 @@
 //  * root-process failures set a flag via a promise hook instead of being
 //    discovered by a per-event scan over all roots;
 //  * a blocking wait's idle passes stay off the queue: parked waiters run
-//    each pass inline at the (time, seq) its boundary was parked with.
+//    each pass inline at the (time, seq) its boundary was parked with,
+//    and when no pass draws jitter every waiter jumps over an idle gap
+//    in one exact step.
 
 #include <coroutine>
 #include <cstdint>
@@ -74,21 +76,33 @@ class StalledError : public std::runtime_error {
 /// A process parked in a polling loop whose passes touch only its own
 /// core (llp::Worker::idle). The simulator keeps it off the event queue
 /// and runs each pass inline, at the (time, seq) its boundary was parked
-/// with (docs/SIM_ENGINE.md, "Parked waiters").
+/// with (docs/SIM_ENGINE.md, "Parked waiters"). A pass ends the wait once
+/// its boundary lies past `deadline_` or a polled CQ holds an entry, and
+/// otherwise parks again `period_` later.
 class Waiter {
  public:
   virtual ~Waiter() = default;
   /// Runs the pass due now: parks again (`Simulator::park`) or resumes
   /// the waiting process.
   virtual void pass() = 0;
+  /// Whether a polled CQ holds an entry (the next pass ends the wait).
+  virtual bool ready() const = 0;
+  /// Books `n` passes that the simulator ran in one step ("Gap merge"):
+  /// everything each pass would have charged besides the clock.
+  virtual void skip(std::uint64_t n) = 0;
   /// Whether no pass can ever end the wait unless another event fills a
   /// CQ (no deadline, every polled CQ empty).
-  virtual bool stalled() const = 0;
+  bool stalled() const { return deadline_ == TimePs::max() && !ready(); }
 
  protected:
   /// The waiting coroutine's promise (names its root process in a
   /// StalledError).
   const detail::PromiseBase* waiting_ = nullptr;
+  /// The time every pass takes when it draws no jitter; zero otherwise,
+  /// and then the simulator never merges this waiter's passes.
+  TimePs period_ = TimePs::zero();
+  /// A pass at a boundary after this time ends the wait.
+  TimePs deadline_ = TimePs::max();
 
   friend class Simulator;
 };
@@ -166,18 +180,13 @@ class alignas(64) Simulator {
   /// destroys it at teardown; exceptions escaping a root process abort.
   void spawn(Task<void> task, std::string name = "process");
 
-  /// Runs one event. Returns false if the queue is empty.
+  /// Runs one event (one parked pass at most: a step merges no gap).
+  /// Returns false if the queue is empty.
   /// Isolation invariant (debug-checked): a Simulator is single-threaded
   /// -- it must be stepped on the thread that constructed it. Parallel
   /// execution (bb::exec) runs whole simulators on distinct threads; it
   /// never shares one across threads.
-  bool step() {
-#ifndef NDEBUG
-    BB_ASSERT_MSG(owner_ == std::this_thread::get_id(),
-                  "Simulator stepped off its construction thread");
-#endif
-    return step_impl();
-  }
+  bool step() { return step_impl(TimePs::zero()); }
   /// Runs until the event queue drains. Throws StalledError once only
   /// stalled parked waiters remain.
   void run();
@@ -227,11 +236,14 @@ class alignas(64) Simulator {
   bool queue_empty() const {
     return ring_.empty() && run_.empty() && heap_.empty();
   }
-  bool step_impl();
+  // One step; the idle passes of a gap before `bound` (exclusive) may
+  // run as one.
+  bool step_impl(TimePs bound);
   Next pick_next(TimePs& t, detail::EventItem& item);
+  bool merge_gap(TimePs bound);
   bool has_event_at_or_before(TimePs t) const;
   void dispatch(TimePs t, detail::EventItem item);
-  void run_pass(TimePs t);
+  void run_pass(TimePs t, TimePs bound);
   void throw_if_stalled() const;
   std::string root_name(const detail::PromiseBase* frame) const;
   [[noreturn]] void rethrow_root_error();

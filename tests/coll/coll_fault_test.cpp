@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "benchlib/osu_coll.hpp"
 #include "coll/coll.hpp"
 #include "scenario/testbed.hpp"
 
@@ -34,7 +35,8 @@ void check_allreduce_lossy(int n, std::uint32_t bytes, Algo a, double loss,
       for (std::uint32_t i = 0; i < e; ++i) {
         v[i] = static_cast<double>((c.rank() + 1) * (static_cast<int>(i) + 1));
       }
-      co_await allreduce(c, b, v, ReduceOp::kSum, algo);
+      EXPECT_EQ(co_await allreduce(c, b, v, ReduceOp::kSum, algo),
+                common::Status::kOk);
       out = std::move(v);
     }(world.comm(r), bytes, elems, a, got[static_cast<std::size_t>(r)]));
   }
@@ -115,6 +117,58 @@ TEST(CollFault, WaitallWatchdogAlsoFires) {
   }(world.comm(0), st));
   cl->sim().run();
   EXPECT_EQ(st, common::Status::kTimedOut);
+}
+
+// A collective reports a wait whose watchdog fired, and still runs its
+// remaining steps. Of two 24 KiB ring allgathers on two ranks, the
+// second never completes its exchange on the wire (ROADMAP, the
+// large-message bugs), so its waits time out; the payloads ride the
+// mailbox regardless.
+TEST(CollFault, TimedOutWaitFailsTheCollective) {
+  coll::CollTuning t;
+  t.wait_timeout_us = 100.0;
+  auto cl = std::make_unique<scenario::Cluster>(
+      scenario::presets::deterministic().with(
+          scenario::overlays::coll_tuning(t)),
+      2);
+  World world(*cl);
+  std::vector<std::vector<common::Status>> st(2);
+  std::vector<std::vector<std::vector<double>>> out(2);
+  for (int r = 0; r < 2; ++r) {
+    cl->sim().spawn([](Communicator& c, std::vector<common::Status>& s,
+                       std::vector<std::vector<double>>& o) -> sim::Task<void> {
+      std::vector<double> mine(24576 / 8, static_cast<double>(c.rank() + 1));
+      for (int i = 0; i < 2; ++i) {
+        s.push_back(co_await allgather(c, 24576, mine, o));
+      }
+    }(world.comm(r), st[static_cast<std::size_t>(r)],
+                       out[static_cast<std::size_t>(r)]));
+  }
+  cl->sim().run();
+  const std::vector<common::Status> expect = {common::Status::kOk,
+                                              common::Status::kTimedOut};
+  EXPECT_EQ(st[0], expect);
+  EXPECT_EQ(st[1], expect);
+  for (int r = 0; r < 2; ++r) {
+    ASSERT_EQ(out[static_cast<std::size_t>(r)].size(), 2u);
+    EXPECT_EQ(out[static_cast<std::size_t>(r)][1 - r][0],
+              static_cast<double>(2 - r));
+  }
+}
+
+// OsuColl turns a failed collective into CollFailedError once the run is
+// over (bbsim coll exits 1 on it).
+TEST(CollFault, OsuCollReportsAFailedIteration) {
+  coll::CollTuning t;
+  t.wait_timeout_us = 100.0;
+  scenario::Cluster cl(scenario::presets::deterministic().with(
+                           scenario::overlays::coll_tuning(t)),
+                       2);
+  World world(cl);
+  bench::OsuColl b(world, bench::OsuColl::Kind::kAllgather,
+                   {.iterations = 2, .warmup = 0, .bytes = 24576,
+                    .epoch_ns = 1.0e7});
+  EXPECT_THROW((void)b.run(), bench::CollFailedError);
 }
 
 }  // namespace

@@ -13,12 +13,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "benchlib/am_lat.hpp"
 #include "benchlib/osu.hpp"
 #include "benchlib/osu_coll.hpp"
 #include "benchlib/put_bw.hpp"
+#include "coll/coll.hpp"
 #include "coll/communicator.hpp"
 #include "exec/sweep.hpp"
 #include "pcie/trace.hpp"
@@ -242,6 +245,122 @@ TEST(DeterminismGolden, LossyCollWaitTimeoutOnThunderx2Cx4) {
   EXPECT_EQ(cl.node(1).core.busy_time().ps(), 404443679);
   EXPECT_EQ(cl.analyzer().trace().size(), 603u);
   EXPECT_EQ(cl.analyzer().trace().checksum(), 0xb37c0127d6dfd3d3ull);
+}
+
+// Goldens on `deterministic`, the preset without cost jitter. Every
+// golden above runs on jittered thunderx2_cx4; these pin the multi-rank
+// idle waits where every pass costs the same (docs/SIM_ENGINE.md,
+// "Gap merge"), recorded while every empty pass ran one by one.
+
+// FNV-1a over the bit patterns of `v`, folded into `h`.
+std::uint64_t fnv1a(std::uint64_t h, const std::vector<double>& v) {
+  for (double d : v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+sim::Task<void> barrier_allreduce(coll::Communicator& c, int iters,
+                                  std::vector<double>& v, TimePs& end) {
+  for (int it = 0; it < iters; ++it) {
+    co_await coll::barrier(c);
+    co_await coll::allreduce(c, 2048, v, coll::ReduceOp::kSum,
+                             coll::Algo::kRecursiveDoubling);
+  }
+  end = c.core().virtual_now();
+}
+
+// 16 ranks: barrier, then a 2 KiB recursive-doubling allreduce, three
+// times (perfbench coll_allreduce's iteration).
+TEST(DeterminismGolden, CollOnDeterministic) {
+  constexpr int kRanks = 16;
+  scenario::Cluster cl(scenario::presets::deterministic(), kRanks);
+  coll::World world(cl);
+  std::vector<std::vector<double>> data(kRanks, std::vector<double>(256));
+  std::vector<TimePs> end(kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      data[r][i] = static_cast<double>((r * 31 + static_cast<int>(i) * 7) %
+                                       101);
+    }
+    cl.sim().spawn(barrier_allreduce(world.comm(r), 3, data[r], end[r]));
+  }
+  cl.sim().run();
+  std::vector<std::int64_t> end_ps, busy_ps;
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (int r = 0; r < kRanks; ++r) {
+    end_ps.push_back(end[r].ps());
+    busy_ps.push_back(cl.node(r).core.busy_time().ps());
+    hash = fnv1a(hash, data[r]);
+  }
+  // The preset has no jitter and the schedule is symmetric, so every
+  // rank finishes at the same picosecond.
+  const std::vector<std::int64_t> kEnd(kRanks, 65560320);
+  EXPECT_EQ(cl.sim().events_processed(), 43600u);
+  EXPECT_EQ(cl.sim().now().ps(), 66487370);
+  EXPECT_EQ(end_ps, kEnd);
+  EXPECT_EQ(busy_ps, kEnd);
+  EXPECT_EQ(hash, 0xe96e14d3ef7b29a5ull);
+}
+
+// Ranks 1-3 pass a ring exchange around while rank 0 waits for a message
+// that never comes; its watchdog deadline falls while the others' waits
+// sit parked between two queued events. Then each of ranks 1-3 waits
+// for a message that never comes too (rank 1 in waitall), so the last
+// deadlines fall with nothing queued at all.
+sim::Task<void> ring_then_hang(coll::Communicator& c, int rounds,
+                               common::Status& out, TimePs& at) {
+  const int n = c.size();
+  if (c.rank() != 0) {
+    const int right = c.rank() % (n - 1) + 1;
+    const int left = (c.rank() + n - 3) % (n - 1) + 1;
+    for (int i = 0; i < rounds; ++i) {
+      std::vector<hlp::Request*> reqs = {c.irecv(left, 64)};
+      reqs.push_back(co_await c.isend(right, 64));
+      EXPECT_EQ(co_await c.waitall(reqs), common::Status::kOk);
+      (void)c.take_data(left);
+    }
+  }
+  if (c.rank() == 1) {
+    std::vector<hlp::Request*> reqs = {c.irecv(0, 8), c.irecv(2, 8)};
+    out = co_await c.waitall(reqs);
+  } else {
+    out = co_await c.wait(c.irecv(c.rank() == 0 ? 1 : 0, 8));
+  }
+  at = c.core().virtual_now();
+}
+
+TEST(DeterminismGolden, CollWaitTimeoutOnDeterministic) {
+  constexpr int kRanks = 4;
+  coll::CollTuning t;
+  t.wait_timeout_us = 40.0;
+  scenario::Cluster cl(scenario::presets::deterministic().with(
+                           scenario::overlays::coll_tuning(t)),
+                       kRanks);
+  coll::World world(cl);
+  std::vector<common::Status> st(kRanks, common::Status::kOk);
+  std::vector<TimePs> at(kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    cl.sim().spawn(ring_then_hang(world.comm(r), 30, st[r], at[r]));
+  }
+  cl.sim().run();
+  std::vector<std::int64_t> at_ps, busy_ps;
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(st[r], common::Status::kTimedOut) << "rank " << r;
+    at_ps.push_back(at[r].ps());
+    busy_ps.push_back(cl.node(r).core.busy_time().ps());
+  }
+  EXPECT_EQ(cl.sim().events_processed(), 9986u);
+  EXPECT_EQ(cl.sim().now().ps(), 87064170);
+  EXPECT_EQ(at_ps, (std::vector<std::int64_t>{40253670, 86997850, 87064170,
+                                              87064170}));
+  EXPECT_EQ(busy_ps, (std::vector<std::int64_t>{40253670, 86997850, 87064170,
+                                                87064170}));
 }
 
 // Two runs with the same seed must agree event-for-event, independent of

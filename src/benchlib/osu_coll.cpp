@@ -35,6 +35,9 @@ sim::Task<void> OsuColl::rank_loop(int r) {
     const double target = static_cast<double>(it + 1) * cfg_.epoch_ns;
     const double now = core.virtual_now().to_ns();
     if (now >= target) {
+      // A failed iteration (e.g. a wait that ran to its watchdog) is the
+      // likelier cause of the overrun: report it, not the epoch.
+      if (!failure_.empty()) throw CollFailedError(failure_);
       throw EpochOverrunError(
           "OsuCollConfig::epoch_ns too small for this collective");
     }

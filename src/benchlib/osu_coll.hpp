@@ -31,7 +31,8 @@ struct OsuCollConfig {
   /// the common absolute tick (iteration+1)*epoch_ns, so all ranks enter
   /// the timed collective at the same instant (a simulator privilege a
   /// real OSU run does not have). Must exceed barrier + collective time
-  /// for one iteration; a run where it does not throws EpochOverrunError.
+  /// for one iteration; a run where it does not throws EpochOverrunError
+  /// (CollFailedError when an earlier iteration already failed).
   double epoch_ns = 1.0e6;
 };
 

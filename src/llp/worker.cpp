@@ -1,6 +1,5 @@
 #include "llp/worker.hpp"
 
-#include <algorithm>
 #include <optional>
 
 #include "common/assert.hpp"
@@ -12,14 +11,11 @@ Worker::Worker(cpu::Core& core, nic::HostMemory& host, WorkerConfig cfg)
     : core_(core), host_(host), cfg_(cfg) {}
 
 void Worker::register_endpoint(Endpoint* ep) {
-  nic::CqRing& cq = host_.tx_cq(ep->config().qp);
-  // Two endpoints of this worker on one QP share its CQ: count it once.
-  if (cq.nonempty_count() != &nonempty_tx_cqs_) {
-    BB_ASSERT_MSG(cq.nonempty_count() == nullptr,
-                  "a TX CQ polled by two workers");
-    cq.count_nonempty_in(&nonempty_tx_cqs_);
-  }
-  endpoints_.push_back(Polled{ep, &cq});
+  const std::uint32_t qp = ep->config().qp;
+  if (qp >= by_qp_.size()) by_qp_.resize(qp + 1, nullptr);
+  BB_ASSERT_MSG(by_qp_[qp] == nullptr, "two endpoints of a worker on one QP");
+  by_qp_[qp] = ep;
+  host_.bind_tx_cq(qp, tx_cq_);
 }
 
 bool Worker::completion_ready() const {
@@ -32,15 +28,9 @@ bool Worker::completion_ready() const {
                   "CQ entry committed before its visibility time");
   };
   check(host_.rx_cq());
-  for (const Polled& p : endpoints_) check(*p.tx_cq);
-  BB_ASSERT_MSG((nonempty_tx_cqs_ != 0) ==
-                    std::any_of(endpoints_.begin(), endpoints_.end(),
-                                [](const Polled& p) {
-                                  return p.tx_cq->depth() != 0;
-                                }),
-                "non-empty TX CQ count out of step with the rings");
+  check(tx_cq_);
 #endif
-  return host_.rx_cq().depth() != 0 || nonempty_tx_cqs_ != 0;
+  return host_.rx_cq().depth() != 0 || tx_cq_.depth() != 0;
 }
 
 bool Worker::profiling_passes() const {
@@ -99,22 +89,19 @@ sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions) {
       if (rx_handler_) rx_handler_(*cqe);
       continue;
     }
-    // Then each endpoint's TX CQ.
-    for (const Polled& p : endpoints_) {
-      if (auto cqe = p.tx_cq->poll(now)) {
-        prof::Profiler::Region r;
-        if (profiler_) r = profiler_->begin(prof::Point::kLlpProg);
-        core_.consume(costs.llp_prog);
-        if (profiler_) profiler_->end(r);
-        ++tx_cqes_polled_;
-        tx_ops_retired_ += cqe->completes;
-        if (cqe->status != common::Status::kOk) ++error_completions_;
-        if (cqe->status == common::Status::kFlushed) ++flushed_completions_;
-        ++n;
-        found = true;
-        p.ep->on_tx_cqe(*cqe);
-        break;
-      }
+    // Then the TX CQ, each entry retiring ops of the endpoint on its QP.
+    if (auto cqe = tx_cq_.poll(now)) {
+      prof::Profiler::Region r;
+      if (profiler_) r = profiler_->begin(prof::Point::kLlpProg);
+      core_.consume(costs.llp_prog);
+      if (profiler_) profiler_->end(r);
+      ++tx_cqes_polled_;
+      tx_ops_retired_ += cqe->completes;
+      if (cqe->status != common::Status::kOk) ++error_completions_;
+      if (cqe->status == common::Status::kFlushed) ++flushed_completions_;
+      ++n;
+      found = true;
+      by_qp_[cqe->qp]->on_tx_cqe(*cqe);
     }
   }
 

@@ -2,13 +2,15 @@
 // The LLP worker: owns progress (CQ polling) for the endpoints created
 // from it, mirroring uct_worker_progress (§4.1).
 //
-// A progress pass scans the RX CQ and every registered endpoint's TX CQ,
-// dequeuing visible entries up to a batch limit. Each dequeued entry costs
-// LLP_prog (load memory barrier + CQE read + bookkeeping); an empty pass
-// costs the cheaper empty-progress time. Completion dispatch (endpoint
-// accounting, registered upper-layer callbacks) runs before the pass
-// returns, exactly as UCT executes callbacks before uct_worker_progress
-// returns (§5).
+// The worker owns one TX CQ shared by all of its endpoints' QPs, as a UCT
+// iface's send CQ is; each entry names its QP. A progress pass polls the
+// node's RX CQ, then that TX CQ, and routes each TX entry to its QP's
+// endpoint, dequeuing visible entries up to a batch limit. Each dequeued
+// entry costs LLP_prog (load memory barrier + CQE read + bookkeeping); an
+// empty pass costs the cheaper empty-progress time. Completion dispatch
+// (endpoint accounting, registered upper-layer callbacks) runs before the
+// pass returns, exactly as UCT executes callbacks before
+// uct_worker_progress returns (§5).
 //
 // A blocking wait spends nearly all of its passes finding nothing. idle()
 // parks the waiter off the event queue and the simulator runs those empty
@@ -39,7 +41,7 @@ struct WorkerConfig {
 class Worker {
  public:
   Worker(cpu::Core& core, nic::HostMemory& host, WorkerConfig cfg = {});
-  // Its TX CQs count into it by address.
+  // The host memory holds its TX CQ by address.
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
 
@@ -59,7 +61,10 @@ class Worker {
   /// Message ids are allocated node-wide (via the host memory image) so
   /// multiple workers on one node never collide at the shared NIC.
   std::uint64_t alloc_msg_id() { return host_.alloc_msg_id(); }
+  /// Binds `ep`'s QP to this worker's TX CQ. One endpoint per QP.
   void register_endpoint(Endpoint* ep);
+  /// The send CQ every registered QP completes into.
+  nic::CqRing& tx_cq() { return tx_cq_; }
 
   /// One uct_worker_progress pass; returns completions processed (TX ops
   /// retired count as the number of CQEs dequeued, not ops).
@@ -89,15 +94,8 @@ class Worker {
   std::uint64_t flushed_completions() const { return flushed_completions_; }
 
  private:
-  // An endpoint and its TX CQ (std::map nodes are stable, so the ring
-  // pointer outlives every later insertion).
-  struct Polled {
-    Endpoint* ep;
-    nic::CqRing* tx_cq;
-  };
-
-  /// Whether a progress pass now would dequeue something: O(1), from the
-  /// shared RX CQ's depth and the count of non-empty TX CQs.
+  /// Whether a progress pass now would dequeue something: the depths of
+  /// the node's RX CQ and this worker's TX CQ.
   bool completion_ready() const;
   /// Whether progress() would open a measured region every pass.
   bool profiling_passes() const;
@@ -105,11 +103,10 @@ class Worker {
   cpu::Core& core_;
   nic::HostMemory& host_;
   WorkerConfig cfg_;
-  // TX CQs of endpoints_ that hold an entry (nic::CqRing keeps it). Sits
-  // in cfg_'s tail padding, so the Worker keeps its size and offsets.
-  std::uint32_t nonempty_tx_cqs_ = 0;
   prof::Profiler* profiler_ = nullptr;
-  std::vector<Polled> endpoints_;
+  nic::CqRing tx_cq_;
+  // The endpoint registered on each QP, indexed by QP id (null: none).
+  std::vector<Endpoint*> by_qp_;
   std::function<void(const nic::Cqe&)> rx_handler_;
   std::uint64_t tx_cqes_polled_ = 0;
   std::uint64_t tx_ops_retired_ = 0;

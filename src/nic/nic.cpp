@@ -155,7 +155,7 @@ void Nic::on_poisoned_tlp(const pcie::Tlp& tlp) {
 
 void Nic::complete_with_error(std::uint32_t qp, std::uint64_t msg_id,
                               common::Status status) {
-  std::uint32_t& pending = pending_completes_[qp];
+  std::uint32_t& pending = tx_flows_[qp].unsignalled;
   pcie::Tlp tlp;
   tlp.type = pcie::TlpType::kMemWrite;
   tlp.bytes = params_.cqe_bytes;
@@ -327,7 +327,7 @@ void Nic::complete_message(const pcie::WireMd& md) {
 
   // Unsignalled-completion moderation: a signalled descriptor's CQE
   // retires every unsignalled op before it on the same QP.
-  std::uint32_t& pending = pending_completes_[md.qp];
+  std::uint32_t& pending = tx_flows_[md.qp].unsignalled;
   ++pending;
   if (md.signaled) {
     pcie::Tlp tlp;

@@ -239,6 +239,8 @@ class Nic {
     /// events (same idiom as pcie::Link's replay timer).
     std::uint64_t timer_epoch = 0;
     bool timer_armed = false;
+    /// Retired-but-unsignalled ops awaiting the QP's next CQE.
+    std::uint32_t unsignalled = 0;
   };
   /// Responder-side flow state, keyed by (source node, QP).
   struct RxFlow {
@@ -250,8 +252,6 @@ class Nic {
   std::map<std::pair<int, std::uint32_t>, RxFlow> rx_flows_;
   net::TransportStats tstats_;
 
-  /// Per-QP count of retired-but-unsignalled ops awaiting the next CQE.
-  std::map<std::uint32_t, std::uint32_t> pending_completes_;
   /// Outstanding DMA reads by tag. A payload read holds the descriptor
   /// waiting on it: the tag is unique, payload addresses need not be.
   struct PendingRead {

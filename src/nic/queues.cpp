@@ -10,7 +10,6 @@ std::optional<Cqe> CqRing::poll(TimePs now) {
   }
   Cqe e = entries_.front();
   entries_.pop();
-  if (entries_.empty() && nonempty_count_ != nullptr) --*nonempty_count_;
   return e;
 }
 
@@ -19,6 +18,12 @@ std::size_t CqRing::visible_count(TimePs now) const {
   // Entries are pushed in time order.
   while (n < entries_.size() && entries_[n].visible_at <= now) ++n;
   return n;
+}
+
+void HostMemory::bind_tx_cq(std::uint32_t qp, CqRing& cq) {
+  if (qp >= tx_cq_of_.size()) tx_cq_of_.resize(qp + 1, nullptr);
+  BB_ASSERT_MSG(tx_cq_of_[qp] == nullptr, "a QP bound to two TX CQs");
+  tx_cq_of_[qp] = &cq;
 }
 
 std::size_t HostMemory::staged_count(std::uint32_t qp) const {
@@ -40,8 +45,10 @@ void HostMemory::commit_write(const pcie::Tlp& tlp, TimePs visible_at) {
   if (const auto* cqe = std::get_if<pcie::CqeWrite>(&tlp.content)) {
     const common::Status cqe_st =
         cqe->status != common::Status::kOk ? cqe->status : st;
-    tx_cqs_[cqe->qp].push(
-        Cqe{cqe->msg_id, cqe->completes, 0, 0, visible_at, cqe_st});
+    BB_ASSERT_MSG(cqe->qp < tx_cq_of_.size() && tx_cq_of_[cqe->qp] != nullptr,
+                  "send completion for a QP bound to no TX CQ");
+    tx_cq_of_[cqe->qp]->push(
+        Cqe{cqe->msg_id, cqe->completes, 0, 0, visible_at, cqe_st, cqe->qp});
   } else if (const auto* pl = std::get_if<pcie::PayloadWrite>(&tlp.content)) {
     payload_bytes_delivered_ += pl->bytes;
     ++payload_writes_;

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -37,25 +36,18 @@ struct Cqe {
   /// operation(s) failed after the link exhausted its recovery budget.
   /// (Last so pre-fault aggregate initializers stay valid.)
   common::Status status = common::Status::kOk;
+  /// The QP whose send this entry completes (TX completions only): one
+  /// TX CQ serves all of a worker's QPs, as a UCT iface's send CQ does.
+  std::uint32_t qp = 0;
 };
 
 /// A CQ ring in host memory.
 class CqRing {
  public:
   void push(const Cqe& e) {
-    if (entries_.empty() && nonempty_count_ != nullptr) ++*nonempty_count_;
     entries_.push(e);
     ++total_pushed_;
   }
-
-  /// Keeps `*count` as the number of non-empty rings among those counted
-  /// into it: a push onto an empty ring increments it, and the poll that
-  /// empties the ring decrements it (llp::Worker's O(1) readiness).
-  void count_nonempty_in(std::uint32_t* count) {
-    nonempty_count_ = count;
-    if (!entries_.empty()) ++*count;
-  }
-  const std::uint32_t* nonempty_count() const { return nonempty_count_; }
 
   /// Dequeues the oldest entry visible at `now`, if any.
   std::optional<Cqe> poll(TimePs now);
@@ -68,16 +60,18 @@ class CqRing {
  private:
   common::Ring<Cqe> entries_;
   std::uint64_t total_pushed_ = 0;
-  std::uint32_t* nonempty_count_ = nullptr;
 };
 
-/// The host-memory image of one node: CQ rings, the staged-descriptor ring
-/// for the DMA descriptor path, and payload-delivery accounting. Serves as
-/// the RC's memory sink and DMA-read provider.
+/// The host-memory image of one node: the RX CQ ring, the binding of
+/// each QP to the TX CQ its worker polls, the staged-descriptor ring for
+/// the DMA descriptor path, and payload-delivery accounting. Serves as the
+/// RC's memory sink and DMA-read provider.
 class HostMemory {
  public:
-  CqRing& tx_cq(std::uint32_t qp) { return tx_cqs_[qp]; }
   CqRing& rx_cq() { return rx_cq_; }
+  /// Routes `qp`'s send completions into `cq` (a worker's TX CQ, which
+  /// must outlive every later commit). A QP is bound at most once.
+  void bind_tx_cq(std::uint32_t qp, CqRing& cq);
 
   /// Node-wide unique message ids (several workers/cores on one node
   /// share the NIC, whose in-flight tracking is keyed by msg_id).
@@ -112,10 +106,11 @@ class HostMemory {
   std::uint64_t payload_writes() const { return payload_writes_; }
 
  private:
-  std::map<std::uint32_t, CqRing> tx_cqs_;
   CqRing rx_cq_;
-  // One descriptor ring per QP, indexed by QP id (Testbed hands them out
-  // densely from 1; template endpoints use 0).
+  // Indexed by QP id, as staged_ is (Testbed hands QPs out densely from
+  // 1; template endpoints use 0): the TX CQ each QP is bound to, or null.
+  std::vector<CqRing*> tx_cq_of_;
+  // One descriptor ring per QP.
   std::vector<common::Ring<pcie::WireMd>> staged_;
   std::uint64_t next_msg_id_ = 1;
   std::function<void()> commit_hook_;

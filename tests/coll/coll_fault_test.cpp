@@ -171,5 +171,15 @@ TEST(CollFault, OsuCollReportsAFailedIteration) {
   EXPECT_THROW((void)b.run(), bench::CollFailedError);
 }
 
+// A run that fails nothing but outlasts its epoch is the epoch's fault:
+// EpochOverrunError, not CollFailedError (bbsim coll exits 2 on it).
+TEST(CollFault, OsuCollOverrunOfAHealthyRunIsAnEpochError) {
+  scenario::Cluster cl(scenario::presets::deterministic(), 2);
+  World world(cl);
+  bench::OsuColl b(world, bench::OsuColl::Kind::kBarrier,
+                   {.iterations = 2, .warmup = 0, .epoch_ns = 100.0});
+  EXPECT_THROW((void)b.run(), bench::EpochOverrunError);
+}
+
 }  // namespace
 }  // namespace bb::coll

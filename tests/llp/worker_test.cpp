@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "llp/endpoint.hpp"
 #include "scenario/testbed.hpp"
@@ -29,8 +30,11 @@ TEST(Worker, EachDequeuedCqeCostsLlpProg) {
   Testbed tb(scenario::presets::deterministic());
   auto& ep = tb.add_endpoint(0);
   // Inject two CQEs directly into the TX CQ at time zero.
-  tb.node(0).host.tx_cq(ep.config().qp).push(nic::Cqe{1, 1, 0, 0, 0_ns});
-  tb.node(0).host.tx_cq(ep.config().qp).push(nic::Cqe{2, 1, 0, 0, 0_ns});
+  const std::uint32_t qp = ep.config().qp;
+  tb.node(0).worker.tx_cq().push(
+      nic::Cqe{.msg_id = 1, .visible_at = 0_ns, .qp = qp});
+  tb.node(0).worker.tx_cq().push(
+      nic::Cqe{.msg_id = 2, .visible_at = 0_ns, .qp = qp});
   tb.sim().spawn([](Testbed::Node& n, Endpoint& e) -> sim::Task<void> {
     // Make the endpoint accounting consistent with the injected CQEs.
     (void)co_await e.put_short(8);
@@ -49,8 +53,10 @@ TEST(Worker, BatchLimitBoundsDequeues) {
   Testbed tb(cfg);
   auto& ep = tb.add_endpoint(0);
   for (int i = 0; i < 5; ++i) {
-    tb.node(0).host.tx_cq(ep.config().qp).push(
-        nic::Cqe{static_cast<std::uint64_t>(i + 1), 1, 0, 0, 0_ns});
+    tb.node(0).worker.tx_cq().push(
+        nic::Cqe{.msg_id = static_cast<std::uint64_t>(i + 1),
+                 .visible_at = 0_ns,
+                 .qp = ep.config().qp});
   }
   tb.sim().spawn([](Testbed::Node& n, Endpoint& e) -> sim::Task<void> {
     for (int i = 0; i < 5; ++i) (void)co_await e.put_short(8);
@@ -80,7 +86,8 @@ TEST(Worker, RxHandlerInvokedPerReceiveCompletion) {
 TEST(Worker, InvisibleCqesNotDequeued) {
   Testbed tb(scenario::presets::deterministic());
   auto& ep = tb.add_endpoint(0);
-  tb.node(0).host.tx_cq(ep.config().qp).push(nic::Cqe{1, 1, 0, 0, 10_us});
+  tb.node(0).worker.tx_cq().push(
+      nic::Cqe{.msg_id = 1, .visible_at = 10_us, .qp = ep.config().qp});
   tb.sim().spawn([](Testbed::Node& n, Endpoint& e) -> sim::Task<void> {
     (void)co_await e.put_short(8);
     EXPECT_EQ(co_await n.worker.progress(), 0u);
@@ -121,8 +128,9 @@ TEST(WorkerIdle, ReadyAtOnceWhenTheRxCqHoldsAnEntry) {
 TEST(WorkerIdle, ReadyAtOnceWhenAnyTxCqHoldsAnEntry) {
   Testbed tb(scenario::presets::deterministic());
   tb.add_endpoint(0);
-  auto& second = tb.add_endpoint(0);
-  tb.node(0).host.tx_cq(second.config().qp).push(nic::Cqe{1, 1, 0, 0, 0_ns});
+  auto& second = tb.add_endpoint(0, 1);
+  tb.node(0).worker.tx_cq().push(
+      nic::Cqe{.msg_id = 1, .visible_at = 0_ns, .qp = second.config().qp});
   std::uint64_t passes = 99;
   TimePs at;
   tb.sim().set_event_limit(100);  // a wrong idle() spins forever
@@ -204,6 +212,86 @@ TEST(WorkerIdle, MatchesRealProgressPassesExactly) {
   const auto real = run(false);
   EXPECT_GT(std::get<0>(real), 10u);
   EXPECT_EQ(run(true), real);
+}
+
+// -- One TX CQ per worker: each CQE names its QP ------------------------
+
+sim::Task<void> drain(Worker& w, const std::vector<Endpoint*>& eps) {
+  const auto busy = [&eps] {
+    for (const Endpoint* e : eps) {
+      if (e->outstanding() > 0) return true;
+    }
+    return false;
+  };
+  while (busy()) co_await w.progress();
+}
+
+TEST(Worker, SharedTxCqRoutesEachCqeToItsEndpoint) {
+  Testbed tb(scenario::presets::deterministic());
+  std::vector<Endpoint*> eps;
+  for (const std::uint32_t period : {1u, 4u, 8u}) {
+    llp::EndpointConfig c = tb.config().endpoint;
+    c.signal_period = period;
+    eps.push_back(&tb.add_endpoint(0, 1, c));
+  }
+  Testbed::Node& n = tb.node(0);
+  tb.sim().spawn([](Testbed::Node& nd,
+                    std::vector<Endpoint*> e) -> sim::Task<void> {
+    // Eight rounds of one put per endpoint: 8 + 2 + 1 signalled CQEs.
+    for (int round = 0; round < 8; ++round) {
+      for (Endpoint* ep : e) (void)co_await ep->put_short(8);
+    }
+    co_await drain(nd.worker, e);
+    EXPECT_EQ(nd.worker.tx_cqes_polled(), 11u);
+    EXPECT_EQ(nd.worker.tx_ops_retired(), 24u);
+    for (const Endpoint* ep : e) EXPECT_EQ(ep->outstanding(), 0u);
+
+    // Eight more rounds, then reset the middle QP with ops in flight:
+    // they retire with flush errors, and only that endpoint sees them.
+    for (int round = 0; round < 8; ++round) {
+      for (Endpoint* ep : e) (void)co_await ep->put_short(8);
+    }
+    nd.nic.qp_reset(e[1]->config().qp);
+    co_await drain(nd.worker, e);
+  }(n, eps));
+  tb.sim().run();
+  for (const Endpoint* ep : eps) EXPECT_EQ(ep->outstanding(), 0u);
+  EXPECT_EQ(eps[0]->tx_errors(), 0u);
+  EXPECT_EQ(eps[2]->tx_errors(), 0u);
+  // Each op still unacked at the reset retires with a flush CQE (the
+  // acked but unsignalled ones ride the first), all on that endpoint.
+  EXPECT_GT(eps[1]->tx_flushed(), 0u);
+  EXPECT_EQ(eps[1]->tx_errors(), eps[1]->tx_flushed());
+  EXPECT_EQ(n.worker.flushed_completions(), eps[1]->tx_flushed());
+  EXPECT_EQ(n.worker.tx_ops_retired(), 48u);
+}
+
+TEST(Worker, AddCoreWorkersPollOnlyTheirOwnCq) {
+  Testbed tb(scenario::presets::deterministic());
+  auto& wc1 = tb.add_core(0);
+  auto& wc2 = tb.add_core(0);
+  const auto& e1 = tb.add_endpoint(wc1, 0);
+  tb.add_endpoint(wc2, 0);
+  // The NIC's CQE write for worker 1's QP, committed at time zero.
+  pcie::Tlp tlp;
+  tlp.type = pcie::TlpType::kMemWrite;
+  tlp.bytes = 64;
+  tlp.content = pcie::CqeWrite{e1.config().qp, 1, 1};
+  tb.node(0).host.commit_write(tlp, TimePs::zero());
+  EXPECT_EQ(wc1.worker.tx_cq().depth(), 1u);
+  EXPECT_EQ(wc2.worker.tx_cq().depth(), 0u);
+
+  const TimePs pass = wc2.core.costs().llp_empty_progress.mean();
+  std::uint64_t passes1 = 99;
+  std::uint64_t passes2 = 0;
+  TimePs at1;
+  TimePs at2;
+  tb.sim().spawn(idle_once(wc1.worker, passes1, at1));
+  tb.sim().spawn(idle_once(wc2.worker, passes2, at2, pass * 3 + pass / 2));
+  tb.sim().run();
+  EXPECT_EQ(passes1, 0u);  // ready at once
+  EXPECT_EQ(passes2, 4u);  // idle until its deadline
+  EXPECT_EQ(wc1.core.busy_time(), TimePs::zero());
 }
 
 }  // namespace

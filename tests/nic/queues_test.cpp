@@ -38,17 +38,22 @@ TEST(CqRing, FifoOrder) {
 
 TEST(HostMemory, CqeWriteLandsInPerQpTxCq) {
   HostMemory host;
+  CqRing cq0;
+  CqRing cq3;
+  host.bind_tx_cq(0, cq0);
+  host.bind_tx_cq(3, cq3);
   pcie::Tlp tlp;
   tlp.type = pcie::TlpType::kMemWrite;
   tlp.bytes = 64;
   tlp.content = pcie::CqeWrite{3, 42, 16};
   host.commit_write(tlp, 500_ns);
-  EXPECT_EQ(host.tx_cq(3).depth(), 1u);
-  EXPECT_EQ(host.tx_cq(0).depth(), 0u);
-  const auto e = host.tx_cq(3).poll(500_ns);
+  EXPECT_EQ(cq3.depth(), 1u);
+  EXPECT_EQ(cq0.depth(), 0u);
+  const auto e = cq3.poll(500_ns);
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->msg_id, 42u);
   EXPECT_EQ(e->completes, 16u);
+  EXPECT_EQ(e->qp, 3u);
 }
 
 TEST(HostMemory, SendPayloadCreatesRxCompletion) {

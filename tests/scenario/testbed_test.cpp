@@ -29,6 +29,7 @@ TEST(Testbed, EndpointUsesConfigTemplate) {
   EXPECT_EQ(tb.add_endpoint(0).config().txq_depth, 7u);
   llp::EndpointConfig override_cfg = cfg.endpoint;
   override_cfg.txq_depth = 3;
+  override_cfg.qp = 1;  // one endpoint per QP on a worker
   EXPECT_EQ(tb.add_endpoint(0, override_cfg).config().txq_depth, 3u);
 }
 

@@ -17,6 +17,7 @@ class Ring {
   std::size_t size() const { return count_; }
   T& front() { return v_[head_]; }
   /// The `i`-th oldest entry.
+  T& operator[](std::size_t i) { return v_[(head_ + i) & mask_]; }
   const T& operator[](std::size_t i) const { return v_[(head_ + i) & mask_]; }
 
   void push(const T& t) {

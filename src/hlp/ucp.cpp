@@ -64,7 +64,7 @@ sim::Task<common::Expected<Request*>> UcpWorker::tag_send_nb(
     ++rndv_sends_;
     const std::uint64_t seq = e.next_rndv_seq++;
     e.rndv_tx_waiting[seq] = req;
-    e.pending_ctrl.push_back(header(Ctrl::kRts, seq, bytes));
+    e.pending_ctrl.push(header(Ctrl::kRts, seq, bytes));
     co_await progress_rndv(e);
     co_return req;
   }
@@ -73,7 +73,7 @@ sim::Task<common::Expected<Request*>> UcpWorker::tag_send_nb(
       co_await try_post(e, req) != common::Status::kOk) {
     // Preserve ordering: once anything pends, later sends pend too.
     req->pending = true;
-    e.pending_sends.push_back(req);
+    e.pending_sends.push(req);
   }
   co_return req;
 }
@@ -102,19 +102,19 @@ common::Expected<Request*> UcpWorker::tag_recv_nb(std::uint32_t bytes,
   if (!e.unexpected.empty()) {
     // Unexpected eager message: the payload already landed.
     const common::Status st = e.unexpected.front().status;
-    e.unexpected.pop_front();
+    e.unexpected.pop();
     complete_recv(req, st);
     return req;
   }
   if (!e.unexpected_rts.empty()) {
     // Unexpected rendezvous advertisement: answer it now.
     const std::uint64_t h = e.unexpected_rts.front();
-    e.unexpected_rts.pop_front();
+    e.unexpected_rts.pop();
     e.rndv_rx_waiting[seq_of(h)] = req;
-    e.pending_ctrl.push_back(header(Ctrl::kCts, seq_of(h), 0));
+    e.pending_ctrl.push(header(Ctrl::kCts, seq_of(h), 0));
     return req;
   }
-  e.posted_recvs.push_back(req);
+  e.posted_recvs.push(req);
   return req;
 }
 
@@ -123,11 +123,11 @@ void UcpWorker::on_rx_completion(const nic::Cqe& cqe) {
   switch (ctrl_of(cqe.user_data)) {
     case Ctrl::kEager: {
       if (e.posted_recvs.empty()) {
-        e.unexpected.push_back(cqe);
+        e.unexpected.push(cqe);
         return;
       }
       Request* req = e.posted_recvs.front();
-      e.posted_recvs.pop_front();
+      e.posted_recvs.pop();
       complete_recv(req, cqe.status);
       return;
     }
@@ -135,13 +135,13 @@ void UcpWorker::on_rx_completion(const nic::Cqe& cqe) {
       // Sender advertised a large message.
       core().consume(core().costs().ucp_progress_iter);  // header decode
       if (e.posted_recvs.empty()) {
-        e.unexpected_rts.push_back(cqe.user_data);
+        e.unexpected_rts.push(cqe.user_data);
         return;
       }
       Request* req = e.posted_recvs.front();
-      e.posted_recvs.pop_front();
+      e.posted_recvs.pop();
       e.rndv_rx_waiting[seq_of(cqe.user_data)] = req;
-      e.pending_ctrl.push_back(header(Ctrl::kCts, seq_of(cqe.user_data), 0));
+      e.pending_ctrl.push(header(Ctrl::kCts, seq_of(cqe.user_data), 0));
       return;
     }
     case Ctrl::kCts: {
@@ -149,7 +149,7 @@ void UcpWorker::on_rx_completion(const nic::Cqe& cqe) {
       core().consume(core().costs().ucp_progress_iter);
       auto it = e.rndv_tx_waiting.find(seq_of(cqe.user_data));
       BB_ASSERT_MSG(it != e.rndv_tx_waiting.end(), "CTS for unknown rndv op");
-      e.rndv_tx_ready.push_back(
+      e.rndv_tx_ready.push(
           RndvData{it->first, it->second->bytes, it->second, false});
       e.rndv_tx_waiting.erase(it);
       return;
@@ -174,18 +174,20 @@ sim::Task<void> UcpWorker::progress_rndv(Ep& e) {
     if (co_await e.uct.am_short(8, h) != llp::Status::kOk) {
       co_return;  // TxQ full: retried on the next pass
     }
-    e.pending_ctrl.pop_front();
+    e.pending_ctrl.pop();
   }
   // Rendezvous payload transfers: a one-sided put, then the FIN. The
   // fabric delivers in order per sender, so the FIN arrives after the
-  // payload is on its way to the receiver's memory.
+  // payload is on its way to the receiver's memory. A CTS handled during
+  // a post may grow the ring, so the head is copied and written back by
+  // index, never held by reference across a suspension.
   while (!e.rndv_tx_ready.empty()) {
-    RndvData& op = e.rndv_tx_ready.front();
+    const RndvData op = e.rndv_tx_ready.front();
     if (!op.data_sent) {
       if (co_await e.uct.put_short(op.bytes) != llp::Status::kOk) {
         co_return;
       }
-      op.data_sent = true;
+      e.rndv_tx_ready.front().data_sent = true;
     }
     if (co_await e.uct.am_short(8, header(Ctrl::kFin, op.seq, 0)) !=
         llp::Status::kOk) {
@@ -193,7 +195,7 @@ sim::Task<void> UcpWorker::progress_rndv(Ep& e) {
     }
     op.req->complete = true;
     ++sends_completed_;
-    e.rndv_tx_ready.pop_front();
+    e.rndv_tx_ready.pop();
   }
 }
 
@@ -228,7 +230,7 @@ sim::Task<std::uint32_t> UcpWorker::progress() {
           common::Status::kOk) {
         break;
       }
-      e.pending_sends.pop_front();
+      e.pending_sends.pop();
     }
   }
 

@@ -26,6 +26,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "common/status.hpp"
 #include "cpu/core.hpp"
 #include "hlp/request.hpp"
@@ -141,15 +142,15 @@ class UcpWorker {
     explicit Ep(llp::Endpoint& e) : uct(e) {}
 
     llp::Endpoint& uct;
-    std::deque<Request*> pending_sends;
-    std::deque<Request*> posted_recvs;
-    std::deque<nic::Cqe> unexpected;
+    common::Ring<Request*> pending_sends;
+    common::Ring<Request*> posted_recvs;
+    common::Ring<nic::Cqe> unexpected;
     // Rendezvous state.
-    std::deque<std::uint64_t> pending_ctrl;            // headers to send
+    common::Ring<std::uint64_t> pending_ctrl;          // headers to send
     std::map<std::uint64_t, Request*> rndv_tx_waiting; // RTS out, await CTS
-    std::deque<RndvData> rndv_tx_ready;                // CTS in: put + FIN
+    common::Ring<RndvData> rndv_tx_ready;              // CTS in: put + FIN
     std::map<std::uint64_t, Request*> rndv_rx_waiting; // CTS out, await FIN
-    std::deque<std::uint64_t> unexpected_rts;          // RTS with no recv
+    common::Ring<std::uint64_t> unexpected_rts;        // RTS with no recv
     std::uint64_t next_rndv_seq = 1;
   };
 

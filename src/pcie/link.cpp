@@ -30,7 +30,7 @@ void Link::transmit_tlp(Direction dir, Tlp tlp) {
   ++tlps_accepted_;
   if (faults_on()) {
     // Hold every transmitted TLP until the data-link Ack purges it.
-    st.replay.push_back(ReplayEntry{tlp, seq, 0});
+    st.replay.push(ReplayEntry{tlp, seq, 0});
     arm_replay_timer(dir);
   }
   transmit_attempt(dir, tlp, seq, 0);
@@ -188,7 +188,7 @@ void Link::transmit_dllp(Direction dir, Dllp d) {
 void Link::on_ack_dllp(Direction dir, const Dllp& d) {
   DirState& st = dir_state(dir);
   while (!st.replay.empty() && st.replay.front().seq <= d.ack_seq) {
-    st.replay.pop_front();
+    st.replay.pop();
   }
   if (d.type == DllpType::kNak) {
     // Go-back-N: everything after the Nak'd sequence is retransmitted in
@@ -203,7 +203,8 @@ void Link::on_ack_dllp(Direction dir, const Dllp& d) {
 
 void Link::replay_all(Direction dir) {
   DirState& st = dir_state(dir);
-  for (ReplayEntry& e : st.replay) {
+  for (std::size_t i = 0; i < st.replay.size(); ++i) {
+    ReplayEntry& e = st.replay[i];
     ++e.attempts;
     if (e.attempts > injector_->config().max_replays && !e.tlp.poisoned) {
       // Replay budget exhausted: error-forward (EP bit). The poisoned

@@ -27,9 +27,9 @@
 // recorded when they *depart* B. This is exactly the vantage point the
 // paper's measurement methodology relies on.
 
-#include <deque>
 #include <functional>
 
+#include "common/ring.hpp"
 #include "common/units.hpp"
 #include "fault/fault.hpp"
 #include "pcie/dllp.hpp"
@@ -118,7 +118,7 @@ class Link {
     TimePs next_free = TimePs::zero();    // transmitter availability
     TimePs last_arrival = TimePs::zero(); // ordering enforcement
     std::uint64_t next_seq = 1;           // data-link sequence numbers
-    std::deque<ReplayEntry> replay;       // unacknowledged TLPs, seq order
+    common::Ring<ReplayEntry> replay;     // unacknowledged TLPs, seq order
     std::uint64_t timer_epoch = 0;        // invalidates stale timer events
     bool timer_armed = false;
     // Receiver state for TLPs arriving from this direction.

@@ -44,7 +44,7 @@ void Trace::record_tlp(TimePs t, const Tlp& tlp) {
   r.msg_id = msg_id_of(tlp);
   r.content = static_cast<std::uint8_t>(tlp.content.index());
   r.poisoned = tlp.poisoned;
-  records_.push_back(r);
+  push(r);
 }
 
 void Trace::record_dllp(TimePs t, Direction dir, const Dllp& dllp) {
@@ -55,13 +55,22 @@ void Trace::record_dllp(TimePs t, Direction dir, const Dllp& dllp) {
   r.dllp_type = dllp.type;
   r.bytes = 8;
   r.tag = dllp.ack_seq;
-  records_.push_back(r);
+  push(r);
+}
+
+void Trace::push(const TraceRecord& r) {
+  const std::size_t chunk = size_ / kChunkRecords;
+  if (chunk == chunks_.size()) {
+    chunks_.push_back(std::make_unique<TraceRecord[]>(kChunkRecords));
+  }
+  chunks_[chunk][size_ % kChunkRecords] = r;
+  ++size_;
 }
 
 std::vector<TraceRecord> Trace::filter(
     const std::function<bool(const TraceRecord&)>& pred) const {
   std::vector<TraceRecord> out;
-  for (const auto& r : records_) {
+  for (const auto& r : *this) {
     if (pred(r)) out.push_back(r);
   }
   return out;
@@ -91,23 +100,14 @@ Samples Trace::deltas(const std::vector<TraceRecord>& recs) {
 }
 
 Samples Trace::spans(const std::vector<TraceRecord>& from,
-                     const std::vector<TraceRecord>& to, bool match_msg_id) {
+                     const std::vector<TraceRecord>& to) {
   Samples s;
   std::size_t j = 0;
   for (const auto& f : from) {
-    if (match_msg_id) {
-      for (const auto& t : to) {
-        if (t.msg_id == f.msg_id && t.t > f.t) {
-          s.add(t.t - f.t);
-          break;
-        }
-      }
-    } else {
-      while (j < to.size() && to[j].t <= f.t) ++j;
-      if (j == to.size()) break;
-      s.add(to[j].t - f.t);
-      ++j;
-    }
+    while (j < to.size() && to[j].t <= f.t) ++j;
+    if (j == to.size()) break;
+    s.add(to[j].t - f.t);
+    ++j;
   }
   return s;
 }
@@ -115,7 +115,7 @@ Samples Trace::spans(const std::vector<TraceRecord>& from,
 std::string Trace::to_csv() const {
   std::string out = "time_ns,dir,packet,bytes,kind,msg_id\n";
   char line[160];
-  for (const auto& r : records_) {
+  for (const auto& r : *this) {
     std::snprintf(line, sizeof(line), "%.3f,%s,%s,%u,%s,%llu\n", r.t.to_ns(),
                   to_string(r.dir).c_str(),
                   r.is_dllp ? to_string(r.dllp_type).c_str()
@@ -131,8 +131,8 @@ std::string Trace::render(std::size_t start, std::size_t count) const {
   std::string out =
       "      time (ns)  dir   pkt       bytes  kind       msg\n";
   char line[160];
-  for (std::size_t i = start; i < records_.size() && i < start + count; ++i) {
-    const auto& r = records_[i];
+  for (std::size_t i = start; i < size_ && i < start + count; ++i) {
+    const auto& r = (*this)[i];
     std::snprintf(line, sizeof(line), "%15.2f  %-4s  %-8s  %5u  %-9s  %llu\n",
                   r.t.to_ns(), to_string(r.dir).c_str(),
                   r.is_dllp ? to_string(r.dllp_type).c_str()
@@ -152,7 +152,7 @@ std::uint64_t Trace::checksum() const {
       h *= 1099511628211ull;
     }
   };
-  for (const auto& r : records_) {
+  for (const auto& r : *this) {
     mix(static_cast<std::uint64_t>(r.t.ps()));
     mix(static_cast<std::uint64_t>(r.dir));
     mix(static_cast<std::uint64_t>(r.is_dllp));

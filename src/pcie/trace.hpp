@@ -6,9 +6,11 @@
 // delta arithmetic the paper's methodology (§4.2-§4.3) performs on the
 // analyzer output, plus a Fig.-6-style pretty printer.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,34 +21,78 @@
 
 namespace bb::pcie {
 
+// 32 bytes: the analyzer keeps one per packet of a whole run, so the
+// enum and flag fields are bit-fields (every value of each fits).
 struct TraceRecord {
   TimePs t;
-  Direction dir = Direction::kDownstream;
-  bool is_dllp = false;
-  TlpType tlp_type = TlpType::kMemWrite;
-  DllpType dllp_type = DllpType::kAck;
-  std::uint32_t bytes = 0;
   std::uint64_t tag = 0;
   /// Message identity extracted from the semantic content (0 if none).
   std::uint64_t msg_id = 0;
+  std::uint32_t bytes = 0;
+  Direction dir : 1 = Direction::kDownstream;
+  bool is_dllp : 1 = false;
+  /// The TLP's EP bit (error forwarding).
+  bool poisoned : 1 = false;
+  TlpType tlp_type : 2 = TlpType::kMemWrite;
+  DllpType dllp_type : 2 = DllpType::kAck;
   /// Which TlpContent alternative the TLP carried (its variant index).
   std::uint8_t content = 0;
-  /// The TLP's EP bit (error forwarding).
-  bool poisoned = false;
 
   /// Short classification, e.g. "PIO-MD", "CQE", "Ack"; a poisoned TLP
   /// gets a "!EP" suffix, like an analyzer decoding the EP bit.
   std::string kind() const;
 };
+static_assert(sizeof(TraceRecord) == 32);
 
+/// A capture, stored in fixed chunks of `kChunkRecords` records. A chunk
+/// never moves once allocated, so a long capture grows without copying
+/// what it holds; `clear()` keeps the chunks for the next capture.
 class Trace {
  public:
+  /// 64 KiB per chunk: below glibc's mmap threshold, so chunks come from
+  /// the heap instead of fresh mappings.
+  static constexpr std::size_t kChunkRecords = 64 * 1024 / sizeof(TraceRecord);
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = TraceRecord;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const TraceRecord*;
+    using reference = const TraceRecord&;
+
+    const_iterator() = default;
+    reference operator*() const { return (*trace_)[i_]; }
+    pointer operator->() const { return &(*trace_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++i_;
+      return old;
+    }
+    bool operator==(const const_iterator&) const = default;
+
+   private:
+    friend class Trace;
+    const_iterator(const Trace* trace, std::size_t i) : trace_(trace), i_(i) {}
+    const Trace* trace_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
   void record_tlp(TimePs t, const Tlp& tlp);
   void record_dllp(TimePs t, Direction dir, const Dllp& dllp);
-  void clear() { records_.clear(); }
+  void clear() { size_ = 0; }
 
-  const std::vector<TraceRecord>& records() const { return records_; }
-  std::size_t size() const { return records_.size(); }
+  std::size_t size() const { return size_; }
+  /// The `i`-th record in capture order.
+  const TraceRecord& operator[](std::size_t i) const {
+    return chunks_[i / kChunkRecords][i % kChunkRecords];
+  }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size_}; }
 
   /// Records matching a predicate, in time order.
   std::vector<TraceRecord> filter(
@@ -63,12 +109,11 @@ class Trace {
   static Samples deltas(const std::vector<TraceRecord>& recs);
 
   /// For each record in `from`, the first record in `to` with a strictly
-  /// later timestamp and, if `match_msg_id`, the same msg_id. Returns the
+  /// later timestamp that no earlier `from` record took. Returns the
   /// pairwise time differences (used for MWr->Ack round trips and
   /// ping->completion spans).
   static Samples spans(const std::vector<TraceRecord>& from,
-                       const std::vector<TraceRecord>& to,
-                       bool match_msg_id = false);
+                       const std::vector<TraceRecord>& to);
 
   /// Fig.-6-style listing of `count` records starting at `start`.
   std::string render(std::size_t start = 0, std::size_t count = 16) const;
@@ -82,7 +127,10 @@ class Trace {
   std::uint64_t checksum() const;
 
  private:
-  std::vector<TraceRecord> records_;
+  void push(const TraceRecord& r);
+
+  std::vector<std::unique_ptr<TraceRecord[]>> chunks_;
+  std::size_t size_ = 0;
 };
 
 /// The passive analyzer: forwards every packet it sees into a Trace. It

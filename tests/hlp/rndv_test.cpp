@@ -132,5 +132,50 @@ TEST(Rndv, RendezvousSlowerThanEagerAtThresholdBoundary) {
   EXPECT_GT(rndv, eager + 500.0);
 }
 
+TEST(Rndv, CtsDuringATransferGrowsTheReadyQueueAndEverySendCompletes) {
+  // 48 rendezvous sends to one peer, three times the ready ring's first
+  // 16 slots. A second task on the sender polls UCT, so CTSs are queued
+  // while the first task's progress is inside a transfer's put or FIN,
+  // and the ring grows under that transfer.
+  constexpr std::uint64_t kSends = 48;
+  Pair p(scenario::presets::deterministic());
+  p.tb.node(0).nic.post_receives(2 * kSends);
+  p.tb.node(1).nic.post_receives(2 * kSends);
+  p.tb.sim().spawn([](Pair& pr) -> sim::Task<void> {
+    for (std::uint64_t i = 0; i < kSends; ++i) {
+      (void)co_await pr.a.ucp().tag_send_nb(2048);
+    }
+    while (pr.a.ucp().sends_completed() < kSends) {
+      co_await pr.a.ucp().progress();
+    }
+  }(p));
+  p.tb.sim().spawn([](Pair& pr) -> sim::Task<void> {
+    while (pr.a.ucp().sends_completed() < kSends) {
+      co_await pr.a.ucp().uct_worker().progress();
+    }
+  }(p));
+  p.tb.sim().spawn([](Pair& pr) -> sim::Task<void> {
+    // Receives posted late: every RTS waits unexpected, then all the
+    // CTSs leave back to back.
+    while (pr.b.ucp().uct_worker().rx_completions() < kSends) {
+      co_await pr.b.ucp().progress();
+    }
+    for (std::uint64_t i = 0; i < kSends; ++i) {
+      (void)pr.b.ucp().tag_recv_nb(2048);
+    }
+    while (pr.b.ucp().recvs_completed() < kSends) {
+      co_await pr.b.ucp().progress();
+    }
+  }(p));
+  p.tb.sim().run();
+
+  EXPECT_EQ(p.a.ucp().rndv_sends(), kSends);
+  EXPECT_EQ(p.a.ucp().sends_completed(), kSends);
+  EXPECT_EQ(p.b.ucp().recvs_completed(), kSends);
+  // Each payload crossed once, with its RTS and FIN.
+  EXPECT_EQ(p.tb.node(1).host.payload_bytes_delivered(),
+            kSends * (2048u + 16u));
+}
+
 }  // namespace
 }  // namespace bb::hlp

@@ -136,7 +136,7 @@ SendRecvRun send_recv(prof::PointSet points, bool enabled, bool use_pio) {
   SendRecvRun out;
   out.end_ps = tb.sim().now().ps();
   out.events = tb.sim().events_processed();
-  for (const auto& r : tb.analyzer().trace().records()) {
+  for (const auto& r : tb.analyzer().trace()) {
     out.trace.emplace_back(r.t.ps(), static_cast<int>(r.dir), r.is_dllp,
                            static_cast<int>(r.tlp_type),
                            static_cast<int>(r.dllp_type), r.bytes, r.tag,

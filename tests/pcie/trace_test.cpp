@@ -31,8 +31,8 @@ TEST(Trace, RecordsCarryMsgIdAndKind) {
   tr.record_tlp(10_ns, make_tlp(TlpType::kMemWrite, Direction::kDownstream,
                                 64, 42));
   ASSERT_EQ(tr.size(), 1u);
-  EXPECT_EQ(tr.records()[0].msg_id, 42u);
-  EXPECT_EQ(tr.records()[0].kind(), "PIO-MD");
+  EXPECT_EQ(tr[0].msg_id, 42u);
+  EXPECT_EQ(tr[0].kind(), "PIO-MD");
 }
 
 TEST(Trace, DownstreamWritesFiltersDirectionTypeAndSize) {
@@ -77,27 +77,6 @@ TEST(Trace, SpansPairsFirstLaterRecord) {
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_NEAR(spans.values_ns()[0], 900.0, 1e-9);
   EXPECT_NEAR(spans.values_ns()[1], 900.0, 1e-9);
-}
-
-TEST(Trace, SpansByMsgIdMatchesAcrossInterleaving) {
-  Trace tr;
-  tr.record_tlp(0_ns, make_tlp(TlpType::kMemWrite, Direction::kDownstream, 64, 1));
-  tr.record_tlp(10_ns, make_tlp(TlpType::kMemWrite, Direction::kDownstream, 64, 2));
-  // Completions arrive out of order relative to posts.
-  Tlp c2;
-  c2.type = TlpType::kMemWrite;
-  c2.dir = Direction::kUpstream;
-  c2.bytes = 64;
-  c2.content = CqeWrite{0, 2, 1};
-  tr.record_tlp(500_ns, c2);
-  Tlp c1 = c2;
-  c1.content = CqeWrite{0, 1, 1};
-  tr.record_tlp(600_ns, c1);
-  const Samples spans =
-      Trace::spans(tr.downstream_writes(), tr.upstream_writes(), true);
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_NEAR(spans.values_ns()[0], 600.0, 1e-9);  // msg 1: 0 -> 600
-  EXPECT_NEAR(spans.values_ns()[1], 490.0, 1e-9);  // msg 2: 10 -> 500
 }
 
 TEST(Trace, RenderShowsFigSixStyleRows) {
@@ -150,7 +129,7 @@ TEST(Trace, LabelsEveryContentEveryDllpAndTheEpBit) {
       "DMA-data", "Ack",      "Nak",    "UpdateFC", "PIO-MD!EP"};
   ASSERT_EQ(tr.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(tr.records()[i].kind(), want[i]) << "record " << i;
+    EXPECT_EQ(tr[i].kind(), want[i]) << "record " << i;
   }
   EXPECT_NE(tr.render(0, want.size())
                 .find("          50.00  down  MWr          64  PIO-MD!EP  7\n"),

@@ -95,7 +95,7 @@ TEST_P(Invariants, CompletionsMatchSignalPolicy) {
 
 TEST_P(Invariants, TracesAreTimeOrderedAndComplete) {
   auto r = run_traffic(std::get<0>(GetParam()), std::get<1>(GetParam()));
-  const auto& recs = r->tb.analyzer().trace().records();
+  const auto& recs = r->tb.analyzer().trace();
   // One downstream post per message, unique msg ids, per-direction
   // monotonic timestamps.
   std::map<pcie::Direction, TimePs> last;

@@ -5,8 +5,8 @@
 // functions for the whole program: every `operator new` is counted, then
 // served by malloc. Link it only into binaries that check allocation
 // counts (test_sim_engine, test_credit_gate, test_llp_parked,
-// test_put_alloc, bench_engine_perf), so the hooks cannot perturb
-// anything else.
+// test_put_alloc, test_trace_capture, bench_engine_perf), so the hooks
+// cannot perturb anything else.
 
 #include <cstdint>
 
